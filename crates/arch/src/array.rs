@@ -414,11 +414,9 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
     }
 
     /// [`CamArray::search_packed`] over a **batch** of reads in one array
-    /// pass: the software model of the paper's pipelined global buffer,
-    /// which drains a queue of latched reads against this array's rows
-    /// while the buffer stages the next array — so a multi-array device
-    /// touches each array's row store once per batch instead of once per
-    /// read (see [`crate::AsmcapDevice::search_packed_batch`]).
+    /// pass: the array senses every queued read before the device moves
+    /// to the next array (the unmasked full-scan drain of
+    /// [`crate::AsmcapDevice::search_packed_batch`]).
     ///
     /// Every read draws its sensing noise from its **own** RNG stream
     /// `rngs[i]`, visiting rows in exactly the order

@@ -6,13 +6,13 @@
 //! written across the arrays; one search operation broadcasts a read to
 //! every array and senses all matchlines in parallel.
 
-use crate::array::{CamArray, MatchMode, SearchEnergy};
+use crate::array::{CamArray, MatchMode, SearchEnergy, SearchOutcome};
 use crate::fault::{FaultPlan, FaultTally};
 use asmcap_circuit::{ChargeDomainCam, CurrentDomainCam, MlCam, Rng};
 use asmcap_genome::{Base, DnaSeq, PackedRef, PackedSeq, PackedWords as _};
 use std::fmt;
 
-/// A bitset over the device's stored rows (flat storage order), selecting
+/// A set of the device's stored rows (flat storage order), selecting
 /// which rows a masked search may sense.
 ///
 /// This is the software model of the controller's row gating: the k-mer
@@ -20,19 +20,25 @@ use std::fmt;
 /// turns them into a mask, and [`AsmcapDevice::search_packed_masked`] drives
 /// only the masked-in matchlines.
 ///
+/// The set rows are kept as one ascending list, so a mask costs its
+/// shortlist, not the device: building one from `c` origins is
+/// `O(c log rows)`, and [`RowMask::ones_in`] is two binary searches.
+///
 /// # Examples
 ///
 /// ```
 /// use asmcap_arch::RowMask;
 /// let mut mask = RowMask::new(8);
-/// mask.set(2);
 /// mask.set(5);
+/// mask.set(2);
 /// assert!(mask.get(2) && !mask.get(3));
 /// assert_eq!(mask.count_ones(), 2);
+/// assert_eq!(mask.ones_in(0..8).collect::<Vec<_>>(), vec![2, 5]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowMask {
-    bits: Vec<u64>,
+    /// The marked rows, strictly ascending.
+    ones: Vec<usize>,
     len: usize,
 }
 
@@ -41,7 +47,7 @@ impl RowMask {
     #[must_use]
     pub fn new(len: usize) -> Self {
         Self {
-            bits: vec![0u64; len.div_ceil(64)],
+            ones: Vec::new(),
             len,
         }
     }
@@ -50,11 +56,10 @@ impl RowMask {
     /// full search, byte-identically).
     #[must_use]
     pub fn full(len: usize) -> Self {
-        let mut mask = Self::new(len);
-        for i in 0..len {
-            mask.set(i);
+        Self {
+            ones: (0..len).collect(),
+            len,
         }
-        mask
     }
 
     /// Number of rows the mask covers.
@@ -69,54 +74,46 @@ impl RowMask {
         self.len == 0
     }
 
-    /// Marks row `i` for sensing.
+    /// Marks row `i` for sensing. Marking rows in ascending order (as
+    /// [`AsmcapDevice::mask_for_origins`] does) appends; any other order
+    /// inserts in place, and marking a row twice is a no-op.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn set(&mut self, i: usize) {
         assert!(i < self.len, "row {i} out of mask of {} rows", self.len);
-        self.bits[i / 64] |= 1u64 << (i % 64);
+        if self.ones.last().is_none_or(|&last| last < i) {
+            self.ones.push(i);
+        } else if let Err(at) = self.ones.binary_search(&i) {
+            self.ones.insert(at, i);
+        }
     }
 
     /// Whether row `i` is marked.
     #[must_use]
     pub fn get(&self, i: usize) -> bool {
-        i < self.len && (self.bits[i / 64] >> (i % 64)) & 1 == 1
+        self.ones.binary_search(&i).is_ok()
     }
 
     /// Number of marked rows.
     #[must_use]
     pub fn count_ones(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.ones.len()
     }
 
-    /// The marked rows inside `range`, ascending — walking whole words and
-    /// popping set bits, so a sparse mask over many rows costs
-    /// `O(range/64 + ones)`, not `O(range)` membership probes.
+    /// The marked rows inside `range`, ascending (a range reaching past
+    /// the mask, or an empty one, is clamped) — two binary searches, then
+    /// a walk over exactly the marked rows.
     pub fn ones_in(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = usize> + '_ {
-        let start = range.start.min(self.len);
-        let end = range.end.min(self.len).max(start);
-        let first_word = start / 64;
-        let last_word = end.div_ceil(64);
-        (first_word..last_word).flat_map(move |w| {
-            let mut word = self.bits[w];
-            if w == first_word {
-                word &= u64::MAX << (start % 64);
-            }
-            if w == last_word - 1 && !end.is_multiple_of(64) {
-                word &= (1u64 << (end % 64)) - 1;
-            }
-            let base = w * 64;
-            std::iter::from_fn(move || {
-                if word == 0 {
-                    return None;
-                }
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                Some(base + bit)
-            })
-        })
+        self.ones_within(range).iter().copied()
+    }
+
+    /// The marked rows inside `range` as a slice of the ascending list.
+    fn ones_within(&self, range: std::ops::Range<usize>) -> &[usize] {
+        let lo = self.ones.partition_point(|&r| r < range.start);
+        let hi = self.ones.partition_point(|&r| r < range.end).max(lo);
+        &self.ones[lo..hi]
     }
 }
 
@@ -282,6 +279,9 @@ pub struct AsmcapDevice<M> {
     // second `store_reference` call restarts at 0 and clears it), which is
     // what lets `mask_for_origins` binary-search instead of scanning.
     origins_sorted: bool,
+    // `row_starts[a]` is array `a`'s first flat row; the last entry is the
+    // occupied row total. Kept in step with the arrays by every store.
+    row_starts: Vec<usize>,
     width: usize,
 }
 
@@ -299,12 +299,25 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             arrays.iter().all(|a| a.width() == width),
             "all arrays must share one row width"
         );
-        Self {
+        let mut device = Self {
             arrays,
             origins: Vec::new(),
             origins_sorted: true,
+            row_starts: Vec::new(),
             width,
-        }
+        };
+        device.index_rows();
+        device
+    }
+
+    /// Recomputes `row_starts` from the arrays' occupancy.
+    fn index_rows(&mut self) {
+        self.row_starts = std::iter::once(0)
+            .chain(self.arrays.iter().scan(0, |end, array| {
+                *end += array.rows();
+                Some(*end)
+            }))
+            .collect();
     }
 
     /// Row width (= read length) in bases.
@@ -428,20 +441,20 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             }
             self.origins.push(start);
         }
+        self.index_rows();
         Ok(starts.len())
     }
 
     /// The genome origin of a stored row.
     #[must_use]
     pub fn origin_of(&self, id: RowId) -> Option<usize> {
-        let flat: usize = self
-            .arrays
-            .iter()
-            .take(id.array)
-            .map(CamArray::rows)
-            .sum::<usize>()
-            + id.row;
-        self.origins.get(flat).copied()
+        let base = self
+            .row_starts
+            .get(id.array)
+            .or(self.row_starts.last())
+            .copied()
+            .unwrap_or(0);
+        self.origins.get(base + id.row).copied()
     }
 
     /// Broadcasts `read` to every array and senses all matchlines at
@@ -480,54 +493,23 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         rng: &mut Rng,
     ) -> DeviceSearchResult {
         assert_eq!(read.len(), self.width, "read must match the row width");
-        let mut matches = Vec::new();
-        let mut energy = 0.0;
-        let mut searches = 0usize;
-        let mut latency: f64 = 0.0;
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
+        let mut result = empty_result();
+        for (array_idx, array) in self.occupied_arrays() {
             let outcome = array.search_packed(read, threshold, mode, rng);
-            energy += outcome.energy_j;
-            searches += 1;
-            latency = latency.max(array.sense().cam().search_time_s());
-            for row in &outcome.rows {
-                if row.matched {
-                    let id = RowId {
-                        array: array_idx,
-                        row: row.row,
-                    };
-                    matches.push(DeviceMatch {
-                        id,
-                        origin: self.origins[flat_base + row.row],
-                        n_mis: row.n_mis,
-                    });
-                }
-            }
-            flat_base += array.rows();
+            self.absorb(&mut result, array_idx, &outcome);
         }
-        DeviceSearchResult {
-            matches,
-            stats: SearchStats {
-                array_searches: searches,
-                energy_j: energy,
-                latency_s: latency,
-                ..SearchStats::default()
-            },
-        }
+        result
     }
 
-    /// [`AsmcapDevice::search_packed`] over a **batch** of reads: the
-    /// global buffer latches the whole read queue once and every array
-    /// drains it in one pass ([`CamArray::search_packed_batch`]) before
-    /// the buffer stages the next array — the software model of the
-    /// paper's pipelined global buffer, and the batch surface the
-    /// device-backend batching work builds on. (In this software model
-    /// the sense-amplifier noise draws dominate row fetches, so the pass
-    /// reordering is about modeling and API shape, not host speed — see
-    /// the `device_batch_search` bench.)
+    /// [`AsmcapDevice::search_packed`] over a **batch** of reads.
+    ///
+    /// The drain is array-major: each occupied array senses every queued
+    /// read before the walk moves to the next array. Every read senses
+    /// every stored row here, so the order changes neither the work nor
+    /// any result (on this software device it measured no faster than
+    /// per-read calls either). The masked batch
+    /// ([`AsmcapDevice::search_packed_batch_masked`]) is a plain per-read
+    /// loop, because each read's cost is its own shortlist.
     ///
     /// Read `i` draws all sensing noise from `rngs[i]`, visiting arrays
     /// and rows in exactly the order [`AsmcapDevice::search_packed`]
@@ -552,59 +534,21 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             rngs.len(),
             "one sensing RNG stream per batched read"
         );
-        let mut results: Vec<DeviceSearchResult> = reads
-            .iter()
-            .map(|_| DeviceSearchResult {
-                matches: Vec::new(),
-                stats: SearchStats::default(),
-            })
-            .collect();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
+        let mut results: Vec<DeviceSearchResult> = reads.iter().map(|_| empty_result()).collect();
+        for (array_idx, array) in self.occupied_arrays() {
             let outcomes = array.search_packed_batch(reads, threshold, mode, rngs);
-            for (result, outcome) in results.iter_mut().zip(outcomes) {
-                result.stats.energy_j += outcome.energy_j;
-                result.stats.array_searches += 1;
-                result.stats.latency_s = result
-                    .stats
-                    .latency_s
-                    .max(array.sense().cam().search_time_s());
-                for row in &outcome.rows {
-                    if row.matched {
-                        result.matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
+            for (result, outcome) in results.iter_mut().zip(&outcomes) {
+                self.absorb(result, array_idx, outcome);
             }
-            flat_base += array.rows();
         }
         results
     }
 
-    /// [`AsmcapDevice::search_packed_batch`] under per-read row masks:
-    /// read `i` senses only the rows `masks[i]` selects, drawing noise in
-    /// the same order [`AsmcapDevice::search_packed_masked`] would — so
+    /// [`AsmcapDevice::search_packed_batch`] under per-read row masks: a
+    /// loop of [`AsmcapDevice::search_packed_masked`] calls, so
     /// `results[i]` is byte-identical to
     /// `search_packed_masked(&reads[i], …, &masks[i], &mut rngs[i])` run
-    /// on its own. Arrays with no masked-in row for a read issue no search
-    /// operation and burn no energy for that read.
-    ///
-    /// Like the unmasked batch, the drain is **array-major**: the global
-    /// buffer stages one array, every queued read senses its masked-in
-    /// rows of that array, then the buffer moves on — the pipelined
-    /// global-buffer model the serving coalescer batches for. Per read
-    /// the arrays are still visited in index order and rows in row order,
-    /// which is exactly the sequential masked walk's draw order, so the
-    /// reordering cannot change any result.
+    /// on its own and each read costs its own shortlist.
     ///
     /// # Panics
     ///
@@ -626,61 +570,12 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             "one sensing RNG stream per batched read"
         );
         assert_eq!(reads.len(), masks.len(), "one row mask per batched read");
-        for (read, mask) in reads.iter().zip(masks) {
-            assert_eq!(read.len(), self.width, "read must match the row width");
-            assert_eq!(
-                mask.len(),
-                self.origins.len(),
-                "mask must cover the stored rows"
-            );
-        }
-        let mut results: Vec<DeviceSearchResult> = reads
+        reads
             .iter()
-            .map(|_| DeviceSearchResult {
-                matches: Vec::new(),
-                stats: SearchStats::default(),
-            })
-            .collect();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            for ((read, mask), (result, rng)) in reads
-                .iter()
-                .zip(masks)
-                .zip(results.iter_mut().zip(rngs.iter_mut()))
-            {
-                let rows: Vec<usize> = mask
-                    .ones_in(flat_base..flat_base + array.rows())
-                    .map(|flat| flat - flat_base)
-                    .collect();
-                if rows.is_empty() {
-                    continue;
-                }
-                let outcome = array.search_packed_rows(read, threshold, mode, &rows, rng);
-                result.stats.energy_j += outcome.energy_j;
-                result.stats.array_searches += 1;
-                result.stats.latency_s = result
-                    .stats
-                    .latency_s
-                    .max(array.sense().cam().search_time_s());
-                for row in &outcome.rows {
-                    if row.matched {
-                        result.matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
-            }
-            flat_base += array.rows();
-        }
-        results
+            .zip(masks)
+            .zip(rngs.iter_mut())
+            .map(|((read, mask), rng)| self.search_packed_masked(read, threshold, mode, mask, rng))
+            .collect()
     }
 
     /// The [`RowMask`] (flat storage order) selecting every stored row
@@ -693,14 +588,15 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     #[must_use]
     pub fn mask_for_origins(&self, origins: &[usize]) -> RowMask {
         assert!(
-            origins.windows(2).all(|pair| pair[0] <= pair[1]),
+            origins.is_sorted(),
             "candidate origins must be sorted ascending"
         );
         let mut mask = RowMask::new(self.origins.len());
         if self.origins_sorted {
             // One stored reference: each candidate binary-searches straight
-            // to its row, so mask construction is O(c log rows) — a
-            // shortlist must not cost O(reference) to apply.
+            // to its row, and ascending candidates give ascending rows, so
+            // the mask is built by appends in O(c log rows) — a shortlist
+            // must not cost O(reference) to apply.
             for &origin in origins {
                 if let Ok(flat) = self.origins.binary_search(&origin) {
                     mask.set(flat);
@@ -723,6 +619,9 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     /// the same order a full search would draw it). Arrays with no
     /// masked-in row issue no search operation and burn no energy.
     ///
+    /// The walk visits the mask's rows once, not the arrays: its cost is
+    /// `O(masked rows · log arrays)` plus the sensing itself.
+    ///
     /// Searching under [`RowMask::full`] is byte-identical to
     /// [`AsmcapDevice::search_packed`], RNG draws included.
     ///
@@ -740,54 +639,9 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         rng: &mut Rng,
     ) -> DeviceSearchResult {
         assert_eq!(read.len(), self.width, "read must match the row width");
-        assert_eq!(
-            mask.len(),
-            self.origins.len(),
-            "mask must cover the stored rows"
-        );
-        let mut matches = Vec::new();
-        let mut energy = 0.0;
-        let mut searches = 0usize;
-        let mut latency: f64 = 0.0;
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            let rows: Vec<usize> = mask
-                .ones_in(flat_base..flat_base + array.rows())
-                .map(|flat| flat - flat_base)
-                .collect();
-            if !rows.is_empty() {
-                let outcome = array.search_packed_rows(read, threshold, mode, &rows, rng);
-                energy += outcome.energy_j;
-                searches += 1;
-                latency = latency.max(array.sense().cam().search_time_s());
-                for row in &outcome.rows {
-                    if row.matched {
-                        let id = RowId {
-                            array: array_idx,
-                            row: row.row,
-                        };
-                        matches.push(DeviceMatch {
-                            id,
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
-            }
-            flat_base += array.rows();
-        }
-        DeviceSearchResult {
-            matches,
-            stats: SearchStats {
-                array_searches: searches,
-                energy_j: energy,
-                latency_s: latency,
-                ..SearchStats::default()
-            },
-        }
+        self.walk_mask(mask, |array, rows| {
+            array.search_packed_rows(read, threshold, mode, rows, rng)
+        })
     }
 
     /// [`AsmcapDevice::search_packed`] through each array's installed
@@ -809,45 +663,14 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         fault_rng: &mut Rng,
     ) -> DeviceSearchResult {
         assert_eq!(read.len(), self.width, "read must match the row width");
-        let mut matches = Vec::new();
-        let mut energy = 0.0;
-        let mut searches = 0usize;
-        let mut latency: f64 = 0.0;
+        let mut result = empty_result();
         let mut tally = FaultTally::default();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
+        for (array_idx, array) in self.occupied_arrays() {
             let outcome =
                 array.search_packed_with_faults(read, threshold, mode, rng, fault_rng, &mut tally);
-            energy += outcome.energy_j;
-            searches += 1;
-            latency = latency.max(array.sense().cam().search_time_s());
-            for row in &outcome.rows {
-                if row.matched {
-                    matches.push(DeviceMatch {
-                        id: RowId {
-                            array: array_idx,
-                            row: row.row,
-                        },
-                        origin: self.origins[flat_base + row.row],
-                        n_mis: row.n_mis,
-                    });
-                }
-            }
-            flat_base += array.rows();
+            self.absorb(&mut result, array_idx, &outcome);
         }
-        DeviceSearchResult {
-            matches,
-            stats: SearchStats {
-                array_searches: searches,
-                energy_j: energy,
-                latency_s: latency,
-                resensed: tally.resensed,
-                requarried: tally.requarried,
-            },
-        }
+        with_tally(result, &tally)
     }
 
     /// [`AsmcapDevice::search_packed_masked`] through the fault model
@@ -867,57 +690,13 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         fault_rng: &mut Rng,
     ) -> DeviceSearchResult {
         assert_eq!(read.len(), self.width, "read must match the row width");
-        assert_eq!(
-            mask.len(),
-            self.origins.len(),
-            "mask must cover the stored rows"
-        );
-        let mut matches = Vec::new();
-        let mut energy = 0.0;
-        let mut searches = 0usize;
-        let mut latency: f64 = 0.0;
         let mut tally = FaultTally::default();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            let rows: Vec<usize> = mask
-                .ones_in(flat_base..flat_base + array.rows())
-                .map(|flat| flat - flat_base)
-                .collect();
-            if !rows.is_empty() {
-                let outcome = array.search_packed_rows_with_faults(
-                    read, threshold, mode, &rows, rng, fault_rng, &mut tally,
-                );
-                energy += outcome.energy_j;
-                searches += 1;
-                latency = latency.max(array.sense().cam().search_time_s());
-                for row in &outcome.rows {
-                    if row.matched {
-                        matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
-            }
-            flat_base += array.rows();
-        }
-        DeviceSearchResult {
-            matches,
-            stats: SearchStats {
-                array_searches: searches,
-                energy_j: energy,
-                latency_s: latency,
-                resensed: tally.resensed,
-                requarried: tally.requarried,
-            },
-        }
+        let result = self.walk_mask(mask, |array, rows| {
+            array.search_packed_rows_with_faults(
+                read, threshold, mode, rows, rng, fault_rng, &mut tally,
+            )
+        });
+        with_tally(result, &tally)
     }
 
     /// [`AsmcapDevice::search_packed_batch`] through the fault model:
@@ -949,60 +728,32 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             fault_rngs.len(),
             "one fault RNG stream per batched read"
         );
-        let mut results: Vec<DeviceSearchResult> = reads
-            .iter()
-            .map(|_| DeviceSearchResult {
-                matches: Vec::new(),
-                stats: SearchStats::default(),
-            })
-            .collect();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
+        let mut results: Vec<DeviceSearchResult> = reads.iter().map(|_| empty_result()).collect();
+        let mut tallies = vec![FaultTally::default(); reads.len()];
+        for (array_idx, array) in self.occupied_arrays() {
             for (i, read) in reads.iter().enumerate() {
-                let mut tally = FaultTally::default();
                 let outcome = array.search_packed_with_faults(
                     read,
                     threshold,
                     mode,
                     &mut rngs[i],
                     &mut fault_rngs[i],
-                    &mut tally,
+                    &mut tallies[i],
                 );
-                let result = &mut results[i];
-                result.stats.energy_j += outcome.energy_j;
-                result.stats.array_searches += 1;
-                result.stats.latency_s = result
-                    .stats
-                    .latency_s
-                    .max(array.sense().cam().search_time_s());
-                result.stats.resensed += tally.resensed;
-                result.stats.requarried += tally.requarried;
-                for row in &outcome.rows {
-                    if row.matched {
-                        result.matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
+                self.absorb(&mut results[i], array_idx, &outcome);
             }
-            flat_base += array.rows();
         }
         results
+            .into_iter()
+            .zip(&tallies)
+            .map(|(result, tally)| with_tally(result, tally))
+            .collect()
     }
 
     /// [`AsmcapDevice::search_packed_batch_masked`] through the fault
-    /// model (see [`AsmcapDevice::search_packed_batch_with_faults`]):
-    /// `results[i]` is byte-identical to
-    /// `search_packed_masked_with_faults(&reads[i], …, &masks[i], …)` run
-    /// on its own.
+    /// model: a loop of [`AsmcapDevice::search_packed_masked_with_faults`]
+    /// calls, so `results[i]` is byte-identical to the solo masked,
+    /// faulted search of read `i`.
     ///
     /// # Panics
     ///
@@ -1030,70 +781,100 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             "one fault RNG stream per batched read"
         );
         assert_eq!(reads.len(), masks.len(), "one row mask per batched read");
-        for (read, mask) in reads.iter().zip(masks) {
-            assert_eq!(read.len(), self.width, "read must match the row width");
-            assert_eq!(
-                mask.len(),
-                self.origins.len(),
-                "mask must cover the stored rows"
-            );
-        }
-        let mut results: Vec<DeviceSearchResult> = reads
+        reads
             .iter()
-            .map(|_| DeviceSearchResult {
-                matches: Vec::new(),
-                stats: SearchStats::default(),
+            .zip(masks)
+            .zip(rngs.iter_mut().zip(fault_rngs.iter_mut()))
+            .map(|((read, mask), (rng, fault_rng))| {
+                self.search_packed_masked_with_faults(read, threshold, mode, mask, rng, fault_rng)
             })
-            .collect();
-        let mut flat_base = 0usize;
-        for (array_idx, array) in self.arrays.iter().enumerate() {
-            if array.rows() == 0 {
-                continue;
-            }
-            for (i, (read, mask)) in reads.iter().zip(masks).enumerate() {
-                let rows: Vec<usize> = mask
-                    .ones_in(flat_base..flat_base + array.rows())
-                    .map(|flat| flat - flat_base)
-                    .collect();
-                if rows.is_empty() {
-                    continue;
-                }
-                let mut tally = FaultTally::default();
-                let outcome = array.search_packed_rows_with_faults(
-                    read,
-                    threshold,
-                    mode,
-                    &rows,
-                    &mut rngs[i],
-                    &mut fault_rngs[i],
-                    &mut tally,
-                );
-                let result = &mut results[i];
-                result.stats.energy_j += outcome.energy_j;
-                result.stats.array_searches += 1;
-                result.stats.latency_s = result
-                    .stats
-                    .latency_s
-                    .max(array.sense().cam().search_time_s());
-                result.stats.resensed += tally.resensed;
-                result.stats.requarried += tally.requarried;
-                for row in &outcome.rows {
-                    if row.matched {
-                        result.matches.push(DeviceMatch {
-                            id: RowId {
-                                array: array_idx,
-                                row: row.row,
-                            },
-                            origin: self.origins[flat_base + row.row],
-                            n_mis: row.n_mis,
-                        });
-                    }
-                }
-            }
-            flat_base += array.rows();
-        }
-        results
+            .collect()
     }
+
+    /// The arrays holding at least one row, with their indices.
+    fn occupied_arrays(&self) -> impl Iterator<Item = (usize, &CamArray<M>)> {
+        self.arrays
+            .iter()
+            .enumerate()
+            .filter(|(_, array)| array.rows() > 0)
+    }
+
+    /// Walks `mask`'s rows once, grouped by the array that owns them:
+    /// arrays in index order, rows ascending within each — the order a
+    /// full walk reaches them in. `search` runs on every array owning a
+    /// masked row, with that array's row indices; arrays owning none are
+    /// skipped without being visited.
+    fn walk_mask(
+        &self,
+        mask: &RowMask,
+        mut search: impl FnMut(&CamArray<M>, &[usize]) -> SearchOutcome,
+    ) -> DeviceSearchResult {
+        assert_eq!(
+            mask.len(),
+            self.origins.len(),
+            "mask must cover the stored rows"
+        );
+        let mut result = empty_result();
+        let mut pending = mask.ones_within(0..mask.len());
+        let mut rows: Vec<usize> = Vec::new();
+        while let Some(&first) = pending.first() {
+            // The last array starting at or before `first` owns it (empty
+            // arrays share their successor's start and come before it).
+            let array_idx = self.row_starts.partition_point(|&start| start <= first) - 1;
+            let (base, end) = (self.row_starts[array_idx], self.row_starts[array_idx + 1]);
+            let owned = pending.partition_point(|&flat| flat < end);
+            rows.clear();
+            rows.extend(pending[..owned].iter().map(|&flat| flat - base));
+            pending = &pending[owned..];
+            let outcome = search(&self.arrays[array_idx], &rows);
+            self.absorb(&mut result, array_idx, &outcome);
+        }
+        result
+    }
+
+    /// Adds one array search to a read's result: its energy, one search
+    /// operation, the parallel-latency bound, and its matched rows.
+    fn absorb(&self, result: &mut DeviceSearchResult, array_idx: usize, outcome: &SearchOutcome) {
+        let array = &self.arrays[array_idx];
+        let base = self.row_starts[array_idx];
+        result.stats.energy_j += outcome.energy_j;
+        result.stats.array_searches += 1;
+        result.stats.latency_s = result
+            .stats
+            .latency_s
+            .max(array.sense().cam().search_time_s());
+        result
+            .matches
+            .extend(
+                outcome
+                    .rows
+                    .iter()
+                    .filter(|row| row.matched)
+                    .map(|row| DeviceMatch {
+                        id: RowId {
+                            array: array_idx,
+                            row: row.row,
+                        },
+                        origin: self.origins[base + row.row],
+                        n_mis: row.n_mis,
+                    }),
+            );
+    }
+}
+
+/// A search result before any array has reported.
+fn empty_result() -> DeviceSearchResult {
+    DeviceSearchResult {
+        matches: Vec::new(),
+        stats: SearchStats::default(),
+    }
+}
+
+/// `result` with the fault-mitigation counters of `tally`.
+fn with_tally(mut result: DeviceSearchResult, tally: &FaultTally) -> DeviceSearchResult {
+    result.stats.resensed = tally.resensed;
+    result.stats.requarried = tally.requarried;
+    result
 }
 
 #[cfg(test)]
@@ -1330,6 +1111,250 @@ mod tests {
         assert_eq!(mask.ones_in(65..65).count(), 0);
         assert_eq!(mask.ones_in(130..199).count(), 0);
         assert_eq!(mask.ones_in(0..500).count(), 8, "range clamps to len");
+    }
+
+    /// Reference for the masked walk: every occupied array, in index
+    /// order, searching the rows `mask.get` admits.
+    fn array_walk_oracle(
+        device: &AsmcapDevice<ChargeDomainCam>,
+        read: &asmcap_genome::PackedSeq,
+        mask: &RowMask,
+        faulted: bool,
+        rng: &mut Rng,
+        fault_rng: &mut Rng,
+    ) -> DeviceSearchResult {
+        let mut result = empty_result();
+        let mut tally = FaultTally::default();
+        let mut flat_base = 0;
+        for (array_idx, array) in device.arrays().iter().enumerate() {
+            let rows: Vec<usize> = (0..array.rows())
+                .filter(|&row| mask.get(flat_base + row))
+                .collect();
+            flat_base += array.rows();
+            if rows.is_empty() {
+                continue;
+            }
+            let outcome = if faulted {
+                array.search_packed_rows_with_faults(
+                    read,
+                    4,
+                    MatchMode::EdStar,
+                    &rows,
+                    rng,
+                    fault_rng,
+                    &mut tally,
+                )
+            } else {
+                array.search_packed_rows(read, 4, MatchMode::EdStar, &rows, rng)
+            };
+            device.absorb(&mut result, array_idx, &outcome);
+        }
+        with_tally(result, &tally)
+    }
+
+    fn next_draw(rng: &mut Rng) -> u64 {
+        rand::Rng::gen(rng)
+    }
+
+    fn mask_of(len: usize, rows: &[usize]) -> RowMask {
+        let mut mask = RowMask::new(len);
+        for &row in rows {
+            mask.set(row);
+        }
+        mask
+    }
+
+    #[test]
+    fn masked_walk_edges_match_the_array_walk() {
+        use crate::fault::FaultPlan;
+        // 60 rows over 16-row arrays: arrays 0-2 full, array 3 holds 12.
+        let mut device = small_device();
+        let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 54);
+        device.store_reference(&genome, 16).unwrap();
+        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(256..320));
+        let n = device.stored_rows();
+        let cases: [(&str, Vec<usize>, usize); 6] = [
+            ("first array only", vec![0, 5, 15], 1),
+            ("last occupied array only", vec![48, 59], 1),
+            ("straddles one boundary", vec![15, 16], 2),
+            ("straddles two boundaries", vec![15, 16, 31, 32, 47, 48], 4),
+            ("first and last rows", vec![0, 59], 2),
+            ("full", (0..n).collect(), 4),
+        ];
+        for faulted in [false, true] {
+            if faulted {
+                device.install_faults(&FaultPlan::paper_corner(19), 4);
+            }
+            for (name, rows, arrays_hit) in &cases {
+                let mask = mask_of(n, rows);
+                let (mut rng_a, mut fault_a) = (rng(81), rng(82));
+                let (mut rng_b, mut fault_b) = (rng(81), rng(82));
+                let walked = if faulted {
+                    device.search_packed_masked_with_faults(
+                        &read,
+                        4,
+                        MatchMode::EdStar,
+                        &mask,
+                        &mut rng_a,
+                        &mut fault_a,
+                    )
+                } else {
+                    device.search_packed_masked(&read, 4, MatchMode::EdStar, &mask, &mut rng_a)
+                };
+                let oracle =
+                    array_walk_oracle(&device, &read, &mask, faulted, &mut rng_b, &mut fault_b);
+                assert_eq!(walked, oracle, "{name} (faulted: {faulted})");
+                assert_eq!(walked.stats.array_searches, *arrays_hit, "{name}");
+                assert_eq!(next_draw(&mut rng_a), next_draw(&mut rng_b), "{name}");
+                assert_eq!(next_draw(&mut fault_a), next_draw(&mut fault_b), "{name}");
+            }
+        }
+        // The full mask is byte-identical to the unmasked faulted walk.
+        let full = RowMask::full(n);
+        let (mut rng_a, mut fault_a) = (rng(83), rng(84));
+        let (mut rng_b, mut fault_b) = (rng(83), rng(84));
+        assert_eq!(
+            device.search_packed_masked_with_faults(
+                &read,
+                4,
+                MatchMode::EdStar,
+                &full,
+                &mut rng_a,
+                &mut fault_a
+            ),
+            device.search_packed_with_faults(&read, 4, MatchMode::EdStar, &mut rng_b, &mut fault_b),
+        );
+        assert_eq!(next_draw(&mut rng_a), next_draw(&mut rng_b));
+        assert_eq!(next_draw(&mut fault_a), next_draw(&mut fault_b));
+    }
+
+    #[test]
+    fn empty_mask_searches_nothing_and_draws_nothing() {
+        let mut device = small_device();
+        let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 55);
+        device.store_reference(&genome, 16).unwrap();
+        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(0..64));
+        let empty = RowMask::new(device.stored_rows());
+        let (mut walked, mut fresh) = (rng(91), rng(91));
+        let (mut fault_walked, mut fault_fresh) = (rng(92), rng(92));
+        let plain = device.search_packed_masked(&read, 4, MatchMode::EdStar, &empty, &mut walked);
+        let faulted = device.search_packed_masked_with_faults(
+            &read,
+            4,
+            MatchMode::EdStar,
+            &empty,
+            &mut walked,
+            &mut fault_walked,
+        );
+        for result in [plain, faulted] {
+            assert_eq!(result, empty_result());
+        }
+        assert_eq!(next_draw(&mut walked), next_draw(&mut fresh));
+        assert_eq!(next_draw(&mut fault_walked), next_draw(&mut fault_fresh));
+    }
+
+    #[test]
+    fn masked_batches_are_per_read_loops_down_to_the_rng_state() {
+        use crate::fault::FaultPlan;
+        let mut device = small_device();
+        let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 56);
+        device.store_reference(&genome, 16).unwrap();
+        device.install_faults(&FaultPlan::paper_corner(23), 4);
+        let n = device.stored_rows();
+        let reads: Vec<asmcap_genome::PackedSeq> = (0..5)
+            .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 150..i * 150 + 64)))
+            .collect();
+        let masks = vec![
+            RowMask::new(n),
+            mask_of(n, &[3]),
+            mask_of(n, &[15, 16, 17]),
+            RowMask::full(n),
+            mask_of(n, &[0, 20, 40, 59]),
+        ];
+        let streams = |base: u64| -> Vec<Rng> { (0..5).map(|i| rng(base + i)).collect() };
+        let (mut rngs, mut fault_rngs) = (streams(300), streams(400));
+        let plain =
+            device.search_packed_batch_masked(&reads, 4, MatchMode::Hamming, &masks, &mut rngs);
+        let faulted = device.search_packed_batch_masked_with_faults(
+            &reads,
+            4,
+            MatchMode::EdStar,
+            &masks,
+            &mut rngs,
+            &mut fault_rngs,
+        );
+        for (i, (read, mask)) in reads.iter().zip(&masks).enumerate() {
+            let (mut solo, mut solo_fault) = (rng(300 + i as u64), rng(400 + i as u64));
+            let solo_plain =
+                device.search_packed_masked(read, 4, MatchMode::Hamming, mask, &mut solo);
+            let solo_faulted = device.search_packed_masked_with_faults(
+                read,
+                4,
+                MatchMode::EdStar,
+                mask,
+                &mut solo,
+                &mut solo_fault,
+            );
+            assert_eq!(plain[i], solo_plain, "read {i}");
+            assert_eq!(faulted[i], solo_faulted, "faulted read {i}");
+            assert_eq!(next_draw(&mut rngs[i]), next_draw(&mut solo), "read {i}");
+            assert_eq!(
+                next_draw(&mut fault_rngs[i]),
+                next_draw(&mut solo_fault),
+                "read {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn row_mask_set_is_order_and_duplicate_insensitive() {
+        let mut forward = RowMask::new(100);
+        for i in [3usize, 17, 42, 99] {
+            forward.set(i);
+        }
+        let mut shuffled = RowMask::new(100);
+        for i in [42usize, 3, 99, 17, 42, 3, 99] {
+            shuffled.set(i);
+        }
+        assert_eq!(forward, shuffled);
+        assert_eq!(shuffled.count_ones(), 4);
+        assert!(shuffled.get(3) && shuffled.get(99) && !shuffled.get(4));
+        assert!(
+            !shuffled.get(100) && !shuffled.get(usize::MAX),
+            "out of range is clear"
+        );
+        assert_eq!(
+            shuffled.ones_in(0..100).collect::<Vec<_>>(),
+            vec![3, 17, 42, 99]
+        );
+        assert_eq!((shuffled.len(), shuffled.is_empty()), (100, false));
+        assert!(RowMask::new(0).is_empty());
+    }
+
+    #[test]
+    fn row_mask_ones_in_clamps_every_range_shape() {
+        let mask = mask_of(50, &[0, 9, 10, 11, 30, 49]);
+        let ones = |range: std::ops::Range<usize>| mask.ones_in(range).collect::<Vec<_>>();
+        assert_eq!(ones(9..12), vec![9, 10, 11], "partial, inclusive start");
+        assert_eq!(ones(10..30), vec![10, 11], "exclusive end");
+        assert_eq!(ones(12..30), Vec::<usize>::new(), "no marked row inside");
+        assert_eq!(ones(20..20), Vec::<usize>::new(), "empty range");
+        #[allow(clippy::reversed_empty_ranges)]
+        let reversed = ones(40..5);
+        assert_eq!(reversed, Vec::<usize>::new(), "reversed range");
+        assert_eq!(ones(45..1_000), vec![49], "end past the mask");
+        assert_eq!(ones(50..1_000), Vec::<usize>::new(), "start past the mask");
+        assert_eq!(ones(0..usize::MAX).len(), 6);
+        assert_eq!(
+            RowMask::full(5).ones_in(1..4).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of mask")]
+    fn row_mask_set_rejects_out_of_range_rows() {
+        RowMask::new(4).set(4);
     }
 
     #[test]

@@ -128,8 +128,8 @@ pub trait MappingBackend: Send + Sync {
     /// and `map_shortlisted(&reads[i], seeds[i], &shortlists[i])`
     /// otherwise — positions, cycle/energy accounting, and RNG draw order
     /// included. The default dispatches read-by-read (trivially
-    /// identical); [`DeviceBackend`] overrides it to drain the whole batch
-    /// array-by-array through
+    /// identical); [`DeviceBackend`] overrides it to issue each search
+    /// instruction once for the whole batch through
     /// [`asmcap_arch::AsmcapDevice::search_packed_batch`] /
     /// [`asmcap_arch::AsmcapDevice::search_packed_batch_masked`], whose
     /// per-read byte-identity is pinned at the arch layer.
@@ -380,8 +380,9 @@ impl DeviceBackend {
 
     /// The shared body of the batch dispatch: the same ED\* → HDAC → TASR
     /// instruction sequencing as [`DeviceBackend::run`], but each stage
-    /// drains the **whole read queue** through the device's array-major
-    /// batch entry points. Read `i` draws all sensing noise from its own
+    /// drains the **whole read queue** through one of the device's batch
+    /// entry points (array-major for full scans, a per-read row-list walk
+    /// under masks). Read `i` draws all sensing noise from its own
     /// seed-derived streams in exactly the order the per-read path would,
     /// so `outcomes[i]` is byte-identical to `run(&reads[i], seeds[i], …)`
     /// (pinned by `tests/packed_equivalence.rs` and the arch-layer batch

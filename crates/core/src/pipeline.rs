@@ -823,7 +823,7 @@ impl AsmcapPipeline {
     /// ([`MappingBackend::map_batch_shortlisted`]): statuses and truncation
     /// are resolved here, shortlists are computed per read, and the
     /// searchable remainder drains through the backend in one call — on
-    /// the device backend that is the array-by-array batched sensing pass.
+    /// the device backend, one batched device search per instruction.
     /// Byte-identical to mapping each read through [`AsmcapPipeline::map`]
     /// (pinned by `tests/packed_equivalence.rs` / `tests/pipeline_api.rs`).
     fn map_tile(&self, reads: &[PackedSeq], indices: &[u64]) -> Vec<MapRecord> {
@@ -1003,9 +1003,11 @@ impl AsmcapPipeline {
     /// [`AsmcapPipeline::map_batch`] over already packed reads. Each
     /// executor tile drains through the backend's batch entry point
     /// ([`MappingBackend::map_batch_shortlisted`]), so on the device
-    /// backend a whole tile's searches run array-by-array through
-    /// [`asmcap_arch::AsmcapDevice::search_packed_batch`] — and the
-    /// records stay byte-identical to per-read dispatch.
+    /// backend a whole tile's searches run through
+    /// [`asmcap_arch::AsmcapDevice::search_packed_batch`] (full scans) or
+    /// [`asmcap_arch::AsmcapDevice::search_packed_batch_masked`]
+    /// (shortlists) — and the records stay byte-identical to per-read
+    /// dispatch.
     ///
     /// # Panics
     ///

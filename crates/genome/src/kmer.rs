@@ -4,12 +4,13 @@
 //! SaVI seed-and-vote baseline, ReSMA's CAM pre-filter, the Kraken2-style
 //! classifier, and the long-read fragment voter. They share this index.
 //!
-//! k-mers are packed into a `u64` (2 bits/base, `k ≤ 32`) so lookups hash an
-//! integer instead of a slice.
+//! k-mers are packed into a `u64` (2 bits/base, `k ≤ 32`). [`KmerIndex`]
+//! keeps every `(code, position)` pair in one flat array sorted by code, so
+//! a lookup is one directory probe plus a binary search inside a bucket of
+//! about one entry — no hashing, no per-code allocation.
 
 use crate::base::Base;
 use crate::packed::{PackedWords, BASES_PER_WORD};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A 2-bit-packed k-mer code. Only meaningful together with its length.
@@ -129,6 +130,12 @@ pub fn packed_kmers<S: PackedWords + ?Sized>(
 
 /// An exact-match k-mer index over one sequence.
 ///
+/// One flat array of k-mer codes sorted ascending (ties in position
+/// order) with a parallel array of start positions, fronted by a radix
+/// directory over the codes' top bits. The directory has about one slot
+/// per indexed k-mer — never `4^k` — so a short segment indexed at
+/// `k = 32` stays as small as its k-mer count.
+///
 /// # Examples
 ///
 /// ```
@@ -143,8 +150,15 @@ pub fn packed_kmers<S: PackedWords + ?Sized>(
 #[derive(Debug, Clone)]
 pub struct KmerIndex {
     k: usize,
-    positions: HashMap<KmerCode, Vec<usize>>,
-    total_kmers: usize,
+    /// Every indexed k-mer's code, ascending.
+    codes: Vec<KmerCode>,
+    /// The start position of `codes[i]`, ascending within one code.
+    positions: Vec<usize>,
+    /// `directory[b]..directory[b + 1]` is the run of `codes` whose top
+    /// bits (`code >> shift`) equal `b`.
+    directory: Vec<usize>,
+    shift: u32,
+    distinct: usize,
 }
 
 impl KmerIndex {
@@ -157,9 +171,7 @@ impl KmerIndex {
     /// so the failure must be reportable).
     pub fn build(seq: &[Base], k: usize) -> Result<Self, KmerError> {
         check_k(k)?;
-        let mut index = Self::empty(k);
-        index.extend(kmers(seq, k));
-        Ok(index)
+        Ok(Self::from_scan(k, || kmers(seq, k)))
     }
 
     /// [`KmerIndex::build`] over a 2-bit packed sequence, extracting every
@@ -171,23 +183,62 @@ impl KmerIndex {
     /// Returns [`KmerError`] if `k` is zero or greater than 32.
     pub fn build_packed<S: PackedWords + ?Sized>(seq: &S, k: usize) -> Result<Self, KmerError> {
         check_k(k)?;
-        let mut index = Self::empty(k);
-        index.extend(packed_kmers(seq, k));
-        Ok(index)
+        Ok(Self::from_scan(k, || packed_kmers(seq, k)))
     }
 
-    fn empty(k: usize) -> Self {
+    /// Builds the index from a rolling k-mer scan, run twice: once to
+    /// count each directory bucket, once to scatter the pairs into place
+    /// (a counting sort on the top code bits). The scan yields positions
+    /// ascending, so each bucket is already in position order; a bucket
+    /// holding several codes is then sorted by `(code, position)`.
+    fn from_scan<I: Iterator<Item = (usize, KmerCode)>>(k: usize, scan: impl Fn() -> I) -> Self {
+        let n = scan().count();
+        let code_bits = 2 * k as u32;
+        let bits = n.checked_ilog2().unwrap_or(0).min(code_bits);
+        let shift = code_bits - bits;
+        let mut directory = vec![0usize; (1usize << bits) + 1];
+        for (_, code) in scan() {
+            directory[bucket(code, shift) + 1] += 1;
+        }
+        for b in 1..directory.len() {
+            directory[b] += directory[b - 1];
+        }
+        let mut cursor = directory.clone();
+        let mut codes = vec![0; n];
+        let mut positions = vec![0; n];
+        for (pos, code) in scan() {
+            let slot = &mut cursor[bucket(code, shift)];
+            codes[*slot] = code;
+            positions[*slot] = pos;
+            *slot += 1;
+        }
+        let mut run: Vec<(KmerCode, usize)> = Vec::new();
+        for b in 1..directory.len() {
+            let (lo, hi) = (directory[b - 1], directory[b]);
+            if codes[lo..hi].is_sorted() {
+                continue;
+            }
+            run.clear();
+            run.extend(
+                codes[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(positions[lo..hi].iter().copied()),
+            );
+            run.sort_unstable();
+            for (i, &(code, pos)) in run.iter().enumerate() {
+                codes[lo + i] = code;
+                positions[lo + i] = pos;
+            }
+        }
+        let distinct = codes.chunk_by(|a, b| a == b).count();
         Self {
             k,
-            positions: HashMap::new(),
-            total_kmers: 0,
-        }
-    }
-
-    fn extend(&mut self, codes: impl Iterator<Item = (usize, KmerCode)>) {
-        for (pos, code) in codes {
-            self.positions.entry(code).or_default().push(pos);
-            self.total_kmers += 1;
+            codes,
+            positions,
+            directory,
+            shift,
+            distinct,
         }
     }
 
@@ -200,22 +251,22 @@ impl KmerIndex {
     /// Number of k-mers indexed (with multiplicity).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.total_kmers
+        self.codes.len()
     }
 
     /// Whether the index is empty (sequence shorter than `k`).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.total_kmers == 0
+        self.codes.is_empty()
     }
 
     /// Number of *distinct* k-mers.
     #[must_use]
     pub fn distinct(&self) -> usize {
-        self.positions.len()
+        self.distinct
     }
 
-    /// All start positions of an exact k-mer, empty if absent.
+    /// All start positions of an exact k-mer, ascending, empty if absent.
     ///
     /// # Panics
     ///
@@ -226,10 +277,21 @@ impl KmerIndex {
         self.positions_of_code(pack_kmer(kmer))
     }
 
-    /// All start positions of a packed k-mer code.
+    /// All start positions of a packed k-mer code, ascending (empty if
+    /// absent, including for codes wider than `2k` bits).
     #[must_use]
     pub fn positions_of_code(&self, code: KmerCode) -> &[usize] {
-        self.positions.get(&code).map_or(&[], Vec::as_slice)
+        let b = bucket(code, self.shift);
+        let (Some(&lo), Some(&hi)) = (
+            self.directory.get(b),
+            self.directory.get(b.saturating_add(1)),
+        ) else {
+            return &[];
+        };
+        let run = &self.codes[lo..hi];
+        let start = lo + run.partition_point(|&c| c < code);
+        let end = lo + run.partition_point(|&c| c <= code);
+        &self.positions[start..end]
     }
 
     /// Whether the exact k-mer occurs at least once.
@@ -241,6 +303,18 @@ impl KmerIndex {
     pub fn contains(&self, kmer: &[Base]) -> bool {
         !self.positions_of(kmer).is_empty()
     }
+
+    /// Slots in the radix directory (one more than its bucket count).
+    #[cfg(test)]
+    fn directory_len(&self) -> usize {
+        self.directory.len()
+    }
+}
+
+/// The directory bucket of `code`: its bits above `shift` (bucket 0 when
+/// the shift spans the whole word, i.e. a one-bucket directory at `k = 32`).
+fn bucket(code: KmerCode, shift: u32) -> usize {
+    usize::try_from(code.checked_shr(shift).unwrap_or(0)).unwrap_or(usize::MAX)
 }
 
 #[cfg(test)]
@@ -249,6 +323,7 @@ mod tests {
     use crate::seq::DnaSeq;
     use crate::synth::GenomeModel;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn seq(s: &str) -> DnaSeq {
         s.parse().expect("valid test sequence")
@@ -322,7 +397,123 @@ mod tests {
         assert!(check_k(1).is_ok());
     }
 
+    /// A hash-map index: the reference for [`KmerIndex`] lookups.
+    fn hashmap_oracle(seq: &[Base], k: usize) -> HashMap<KmerCode, Vec<usize>> {
+        let mut by_code: HashMap<KmerCode, Vec<usize>> = HashMap::new();
+        for (pos, code) in kmers(seq, k) {
+            by_code.entry(code).or_default().push(pos);
+        }
+        by_code
+    }
+
+    /// Every lookup the oracle can answer, plus absent codes, agrees.
+    fn assert_matches_oracle(seq: &[Base], k: usize) {
+        let index = KmerIndex::build(seq, k).unwrap();
+        let oracle = hashmap_oracle(seq, k);
+        assert_eq!(index.len(), (seq.len() + 1).saturating_sub(k), "k={k}");
+        assert_eq!(index.distinct(), oracle.len(), "k={k}");
+        assert_eq!(index.is_empty(), oracle.is_empty());
+        for (&code, positions) in &oracle {
+            assert_eq!(index.positions_of_code(code), positions.as_slice(), "k={k}");
+        }
+        // Absent codes: neighbours of present ones, and codes wider than 2k.
+        for probe in [0, 1, 2, 3, 0x5555, u64::MAX, u64::MAX - 1, 1 << 40] {
+            let expected = oracle.get(&probe).map_or(&[][..], Vec::as_slice);
+            assert_eq!(
+                index.positions_of_code(probe),
+                expected,
+                "k={k} probe={probe:#x}"
+            );
+        }
+        for &code in oracle.keys() {
+            for probe in [code.wrapping_add(1), code.wrapping_sub(1)] {
+                let expected = oracle.get(&probe).map_or(&[][..], Vec::as_slice);
+                assert_eq!(index.positions_of_code(probe), expected);
+            }
+        }
+        let packed = crate::PackedSeq::from_seq(&seq.iter().copied().collect::<DnaSeq>());
+        let via_packed = KmerIndex::build_packed(&packed, k).unwrap();
+        assert_eq!(via_packed.codes, index.codes);
+        assert_eq!(via_packed.positions, index.positions);
+    }
+
+    #[test]
+    fn flat_index_matches_the_hashmap_oracle() {
+        let random = GenomeModel::uniform().generate(3_000, 11);
+        let homopolymer = seq(&"A".repeat(300));
+        let dinucleotide = seq(&"CA".repeat(200));
+        let repeats = GenomeModel::uniform()
+            .generate(64, 12)
+            .as_slice()
+            .repeat(20);
+        for k in [1usize, 4, 12, 31, 32] {
+            assert_matches_oracle(random.as_slice(), k);
+            assert_matches_oracle(homopolymer.as_slice(), k);
+            assert_matches_oracle(dinucleotide.as_slice(), k);
+            assert_matches_oracle(&repeats, k);
+            assert_matches_oracle(&[], k);
+            assert_matches_oracle(&random.as_slice()[..k], k);
+        }
+    }
+
+    #[test]
+    fn empty_input_indexes_nothing_and_finds_nothing() {
+        for k in [1usize, 12, 32] {
+            let index = KmerIndex::build(&[], k).unwrap();
+            assert!(index.is_empty());
+            assert_eq!((index.len(), index.distinct()), (0, 0));
+            assert!(index.positions_of_code(0).is_empty());
+            assert!(index.positions_of_code(u64::MAX).is_empty());
+            assert_eq!(index.directory_len(), 2);
+        }
+    }
+
+    #[test]
+    fn directory_is_sized_by_kmer_count_not_k() {
+        // A 128-base segment at k = 32 — the SaVI/ReSMA per-pair shape —
+        // must not allocate a directory anywhere near 4^k (or 2^20) slots.
+        let segment = GenomeModel::uniform().generate(128, 13);
+        for k in [1usize, 8, 12, 20, 32] {
+            let index = KmerIndex::build(segment.as_slice(), k).unwrap();
+            assert!(
+                index.directory_len() <= index.len() + 1,
+                "k={k}: {} directory slots for {} k-mers",
+                index.directory_len(),
+                index.len()
+            );
+        }
+        // k = 1 caps the directory at 4 buckets however long the input.
+        let long = GenomeModel::uniform().generate(10_000, 14);
+        assert_eq!(
+            KmerIndex::build(long.as_slice(), 1)
+                .unwrap()
+                .directory_len(),
+            5
+        );
+        let index = KmerIndex::build(long.as_slice(), 16).unwrap();
+        assert!(index.directory_len() <= index.len() + 1);
+        assert!(index.directory_len() > index.len() / 2);
+    }
+
+    #[test]
+    fn positions_come_back_ascending() {
+        let s = seq(&"ACGT".repeat(50));
+        let index = KmerIndex::build(s.as_slice(), 4).unwrap();
+        assert_eq!(index.distinct(), 4);
+        let hits = index.positions_of(seq("GTAC").as_slice());
+        assert_eq!(hits, (2..197).step_by(4).collect::<Vec<_>>());
+    }
+
     proptest! {
+        #[test]
+        fn prop_flat_index_matches_hashmap_oracle(
+            codes in proptest::collection::vec(0u8..4, 0..300),
+            k in 1usize..=32
+        ) {
+            let s: DnaSeq = codes.into_iter().map(Base::from_code).collect();
+            assert_matches_oracle(s.as_slice(), k);
+        }
+
         #[test]
         fn prop_rolling_matches_naive_pack(
             codes in proptest::collection::vec(0u8..4, 1..80),

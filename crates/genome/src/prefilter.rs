@@ -39,7 +39,6 @@
 use crate::kmer::{packed_kmers, KmerCode, KmerError, KmerIndex};
 use crate::packed::PackedWords;
 use crate::packedref::PackedRef;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why a [`PrefilterIndex`] could not be built: every way a
@@ -256,24 +255,41 @@ impl PrefilterIndex {
 
     /// The read's minimizer seeds as `(read position, k-mer code)`: the
     /// minimum-hash k-mer of each window of [`PrefilterConfig::window`]
-    /// consecutive k-mers, deduplicated.
+    /// consecutive k-mers (ties to the lowest position), deduplicated.
+    ///
+    /// One pass with a monotone deque, `O(read)` whatever the window: the
+    /// deque holds the window's k-mers whose hash no later k-mer has
+    /// beaten, hashes non-decreasing from front to back, so its front is
+    /// the window's minimizer. A new k-mer evicts only entries with a
+    /// strictly greater hash — the seed hash is a bijection, so an equal
+    /// hash is the same code again and the older, lower position keeps
+    /// the win. The deque lives in one `Vec` (`deque[head..]`): entries
+    /// leave the front by advancing `head`, so nothing wraps or shifts.
     #[must_use]
     pub fn minimizers<S: PackedWords + ?Sized>(&self, read: &S) -> Vec<(usize, KmerCode)> {
-        let codes: Vec<(usize, KmerCode)> = packed_kmers(read, self.config.k).collect();
-        if codes.is_empty() {
-            return Vec::new();
-        }
-        let w = self.config.window.min(codes.len());
-        let mut picked = Vec::new();
-        let mut last: Option<usize> = None;
-        for window in codes.windows(w) {
-            let best = window
-                .iter()
-                .min_by_key(|&&(pos, code)| (seed_hash(code), pos))
-                .expect("window is non-empty");
-            if last != Some(best.0) {
-                picked.push(*best);
-                last = Some(best.0);
+        let n_kmers = (read.len() + 1).saturating_sub(self.config.k);
+        let w = self.config.window.min(n_kmers);
+        let mut deque: Vec<(u64, usize, KmerCode)> = Vec::with_capacity(n_kmers);
+        let mut head = 0;
+        let mut picked: Vec<(usize, KmerCode)> = Vec::with_capacity(2 * n_kmers / (w + 1) + 1);
+        // `packed_kmers` yields positions 0, 1, 2, …: a k-mer's position is
+        // its index, and the window ending at `pos` starts at `pos + 1 - w`.
+        for (pos, code) in packed_kmers(read, self.config.k) {
+            let hash = seed_hash(code);
+            while deque.len() > head && deque.last().is_some_and(|&(h, _, _)| h > hash) {
+                deque.pop();
+            }
+            deque.push((hash, pos, code));
+            let Some(window_start) = (pos + 1).checked_sub(w) else {
+                continue;
+            };
+            while deque.get(head).is_some_and(|&(_, p, _)| p < window_start) {
+                head += 1;
+            }
+            if let Some(&(_, p, c)) = deque.get(head) {
+                if picked.last().is_none_or(|&(last, _)| last != p) {
+                    picked.push((p, c));
+                }
             }
         }
         picked
@@ -285,29 +301,38 @@ impl PrefilterIndex {
     /// exact vote counts.
     #[must_use]
     pub fn votes<S: PackedWords + ?Sized>(&self, read: &S) -> Vec<(usize, usize)> {
-        let mut votes: HashMap<usize, usize> = HashMap::new();
+        runs(&self.voted_starts(read)).collect()
+    }
+
+    /// Every stride-grid start a seed hit votes for, once per vote,
+    /// sorted: a start's vote count is the length of its run. All seeds
+    /// are looked up before any hit is read: the lookups are independent,
+    /// so the CPU overlaps their cache misses instead of waiting on each.
+    fn voted_starts<S: PackedWords + ?Sized>(&self, read: &S) -> Vec<usize> {
+        let seeds = self.minimizers(read);
         let slack = self.config.diag_slack as isize;
-        for (p, code) in self.minimizers(read) {
-            for &r in self.index.positions_of_code(code) {
+        // About one hit per seed on a non-repetitive reference.
+        let per_hit = 2 * self.config.diag_slack / self.stride + 1;
+        let mut starts: Vec<usize> = Vec::with_capacity(seeds.len() * per_hit);
+        let hits: Vec<(usize, &[usize])> = seeds
+            .iter()
+            .map(|&(p, code)| (p, self.index.positions_of_code(code)))
+            .collect();
+        for (p, positions) in hits {
+            for &r in positions {
                 let diag = r as isize - p as isize;
                 let lo = (diag - slack).max(0);
                 let hi = (diag + slack).min(self.last_start as isize);
-                if lo > hi {
-                    continue;
-                }
-                // First stride-grid start at or above `lo`.
-                let mut s = (lo as usize).div_ceil(self.stride) * self.stride;
-                while s as isize <= hi {
-                    *votes.entry(s).or_insert(0) += 1;
-                    s += self.stride;
+                // Stride-grid starts from the first at or above `lo`.
+                let mut start = (lo as usize).div_ceil(self.stride) * self.stride;
+                while start as isize <= hi {
+                    starts.push(start);
+                    start += self.stride;
                 }
             }
         }
-        // lint: order-insensitive — drained into a Vec and sorted on the
-        // next line before anything reads it.
-        let mut votes: Vec<(usize, usize)> = votes.into_iter().collect();
-        votes.sort_unstable();
-        votes
+        starts.sort_unstable();
+        starts
     }
 
     /// Seed votes supporting one specific segment start (0 if none) —
@@ -324,9 +349,12 @@ impl PrefilterIndex {
     /// [module docs](self) for the full recipe).
     #[must_use]
     pub fn shortlist<S: PackedWords + ?Sized>(&self, read: &S) -> Shortlist {
-        let mut ranked: Vec<(usize, usize)> = self
-            .votes(read)
-            .into_iter()
+        self.rank(runs(&self.voted_starts(read)))
+    }
+
+    /// Floors, ranks, and caps a [`PrefilterIndex::votes`] map.
+    fn rank(&self, votes: impl Iterator<Item = (usize, usize)>) -> Shortlist {
+        let mut ranked: Vec<(usize, usize)> = votes
             .filter(|&(_, votes)| votes >= self.config.min_seed_hits)
             .collect();
         if ranked.is_empty() {
@@ -345,6 +373,13 @@ impl PrefilterIndex {
     }
 }
 
+/// `(start, votes)` for each run of equal starts in a sorted list.
+fn runs(sorted: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    sorted
+        .chunk_by(|a, b| a == b)
+        .filter_map(|run| run.first().map(|&start| (start, run.len())))
+}
+
 /// SplitMix64-style mixer ordering k-mer codes for minimizer selection
 /// (a fixed, seedless permutation: the same read always picks the same
 /// seeds, which the pipeline's determinism rule relies on).
@@ -358,8 +393,165 @@ fn seed_hash(code: KmerCode) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::Base;
     use crate::packed::PackedSeq;
     use crate::synth::GenomeModel;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// Reference for [`PrefilterIndex::minimizers`]: the `O(n·w)` rescan
+    /// of every window.
+    fn minimizers_oracle(index: &PrefilterIndex, read: &PackedSeq) -> Vec<(usize, KmerCode)> {
+        let codes: Vec<(usize, KmerCode)> = packed_kmers(read, index.config.k).collect();
+        if codes.is_empty() {
+            return Vec::new();
+        }
+        let w = index.config.window.min(codes.len());
+        let mut picked = Vec::new();
+        let mut last: Option<usize> = None;
+        for window in codes.windows(w) {
+            let best = window
+                .iter()
+                .min_by_key(|&&(pos, code)| (seed_hash(code), pos))
+                .expect("window is non-empty");
+            if last != Some(best.0) {
+                picked.push(*best);
+                last = Some(best.0);
+            }
+        }
+        picked
+    }
+
+    /// Reference for [`PrefilterIndex::votes`]: a hash-map vote count.
+    fn votes_oracle(index: &PrefilterIndex, read: &PackedSeq) -> Vec<(usize, usize)> {
+        let mut counts: HashMap<usize, usize> = HashMap::new();
+        let slack = index.config.diag_slack as isize;
+        for (p, code) in minimizers_oracle(index, read) {
+            for &r in index.index.positions_of_code(code) {
+                let diag = r as isize - p as isize;
+                let lo = (diag - slack).max(0);
+                let hi = (diag + slack).min(index.last_start as isize);
+                if lo > hi {
+                    continue;
+                }
+                let mut s = (lo as usize).div_ceil(index.stride) * index.stride;
+                while s as isize <= hi {
+                    *counts.entry(s).or_insert(0) += 1;
+                    s += index.stride;
+                }
+            }
+        }
+        let mut votes: Vec<(usize, usize)> = counts.into_iter().collect();
+        votes.sort_unstable();
+        votes
+    }
+
+    fn dna(codes: impl IntoIterator<Item = u8>) -> crate::DnaSeq {
+        codes.into_iter().map(Base::from_code).collect()
+    }
+
+    /// A reference that carries `read` verbatim between two random
+    /// flanks, so every read shape — random, repetitive — has true hits.
+    fn reference_around(read: &crate::DnaSeq, seed: u64) -> PackedRef {
+        let flank = GenomeModel::uniform().generate(300, seed);
+        let tail = GenomeModel::uniform().generate(300, seed ^ 0x5A5A);
+        let whole: crate::DnaSeq = flank
+            .as_slice()
+            .iter()
+            .chain(read.as_slice())
+            .chain(tail.as_slice())
+            .copied()
+            .collect();
+        PackedRef::new(&whole)
+    }
+
+    /// Reads of every shape the deque must agree on: random bases,
+    /// homopolymers and dinucleotide repeats (repeated codes, so hash
+    /// ties), and lengths from zero up — shorter than `k`, shorter than
+    /// one window, and long.
+    fn any_read() -> impl Strategy<Value = crate::DnaSeq> {
+        (
+            0u8..3,
+            proptest::collection::vec(0u8..4, 0..160),
+            (0u8..4, 0u8..4, 0usize..160),
+        )
+            .prop_map(|(shape, random, (a, b, len))| match shape {
+                0 => dna(random),
+                1 => dna((0..len).map(|i| if i % 2 == 0 { a } else { b })),
+                _ => dna(std::iter::repeat_n(a, len / 4).chain(random)),
+            })
+    }
+
+    fn any_config() -> impl Strategy<Value = PrefilterConfig> {
+        (
+            1usize..=14,
+            1usize..=40,
+            1usize..=3,
+            1usize..=64,
+            0usize..=12,
+        )
+            .prop_map(|(k, window, min_seed_hits, max_candidates, diag_slack)| {
+                PrefilterConfig {
+                    k,
+                    window,
+                    min_seed_hits,
+                    max_candidates,
+                    diag_slack,
+                    full_scan_fallback: true,
+                }
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_deque_and_run_length_match_the_oracles(
+            read in any_read(),
+            config in any_config(),
+            stride in 1usize..=8,
+            seed in any::<u64>(),
+        ) {
+            let reference = reference_around(&read, seed);
+            let index = PrefilterIndex::new(&reference, 64, stride, config).unwrap();
+            let packed = PackedSeq::from_seq(&read);
+            let seeds = index.minimizers(&packed);
+            prop_assert_eq!(&seeds, &minimizers_oracle(&index, &packed));
+            let oracle_votes = votes_oracle(&index, &packed);
+            prop_assert_eq!(&index.votes(&packed), &oracle_votes);
+            prop_assert_eq!(index.shortlist(&packed), index.rank(oracle_votes.into_iter()));
+        }
+    }
+
+    #[test]
+    fn low_complexity_ties_go_to_the_lowest_position() {
+        // A homopolymer has one code: every window's minimizer is its first
+        // k-mer, so the seeds are 0, 1, 2, … — one per window, each the
+        // earliest surviving copy of the tied code.
+        let read = dna(std::iter::repeat_n(2u8, 40));
+        let config = PrefilterConfig {
+            k: 5,
+            window: 4,
+            ..PrefilterConfig::default()
+        };
+        let index = PrefilterIndex::new(&reference_around(&read, 3), 64, 1, config).unwrap();
+        let packed = PackedSeq::from_seq(&read);
+        let seeds = index.minimizers(&packed);
+        let positions: Vec<usize> = seeds.iter().map(|&(p, _)| p).collect();
+        assert_eq!(positions, (0..=36 - 4).collect::<Vec<_>>());
+        assert_eq!(seeds, minimizers_oracle(&index, &packed));
+        // A window wider than the read collapses to one seed.
+        let wide = PrefilterIndex::new(
+            &reference_around(&read, 3),
+            64,
+            1,
+            PrefilterConfig {
+                window: 1_000,
+                ..config
+            },
+        )
+        .unwrap();
+        assert_eq!(wide.minimizers(&packed).len(), 1);
+        assert_eq!(wide.minimizers(&packed), minimizers_oracle(&wide, &packed));
+    }
 
     fn index_on(
         genome_len: usize,

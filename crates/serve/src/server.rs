@@ -14,8 +14,8 @@
 //!   this crate's panic surface).
 //! - **Executor thread** (exactly one) — blocks in
 //!   [`Coalescer::next_batch`], maps each batch in one
-//!   [`AsmcapPipeline::map_batch_packed_indexed`] call (array-by-array
-//!   batched sensing on the device backend), and writes each reply to its
+//!   [`AsmcapPipeline::map_batch_packed_indexed`] call (one batched
+//!   backend call per executor tile), and writes each reply to its
 //!   connection.
 //!
 //! Replies to one connection are serialized by a per-connection writer
