@@ -25,7 +25,6 @@ use std::fmt;
 
 /// The shared MUX select signal `S`: which distance the array evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MatchMode {
     /// `S = 1`: cell matches if any of `O_L`, `O_C`, `O_R` matched (ED\*).
     #[default]
@@ -146,14 +145,14 @@ impl SearchOutcome {
 ///
 /// ```
 /// use asmcap_arch::{CamArray, MatchMode};
-/// use asmcap_genome::DnaSeq;
+/// use asmcap_genome::{DnaSeq, PackedSeq};
 ///
 /// let mut array = CamArray::asmcap(4, 8);
 /// array.store_row("ACGTACGT".parse::<DnaSeq>()?.as_slice())?;
 /// array.store_row("TTTTTTTT".parse::<DnaSeq>()?.as_slice())?;
 /// let mut rng = asmcap_circuit::rng(1);
-/// let read: DnaSeq = "ACGTACGA".parse()?;
-/// let outcome = array.search(read.as_slice(), 2, MatchMode::EdStar, &mut rng);
+/// let read = PackedSeq::from_seq(&"ACGTACGA".parse()?);
+/// let outcome = array.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
 /// assert_eq!(outcome.matched_rows(), vec![0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -335,139 +334,70 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
         }
     }
 
-    /// One in-array search: all occupied rows compare against `read` in
-    /// parallel; each matchline is sensed against `V_ref(threshold)`.
+    /// One in-array search — the array's only row loop. The listed rows
+    /// (`rows: None` = every occupied row) compare against `read` in
+    /// parallel and each matchline is sensed against `V_ref(threshold)`:
+    /// the digital pre-pass computes the row's exact `n_mis` word-parallel,
+    /// then the analog stage senses it, in ascending row order.
     ///
-    /// Packs the read once and forwards to [`CamArray::search_packed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read width differs from the array width or HD mode is
-    /// requested on hardware without the HD MUX.
-    #[must_use]
-    pub fn search(
-        &self,
-        read: &[Base],
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-    ) -> SearchOutcome {
-        assert_eq!(read.len(), self.width, "read must match the array width");
-        self.search_packed(&PackedSeq::from_bases(read), threshold, mode, rng)
-    }
-
-    /// [`CamArray::search`] over an already packed read: the digital
-    /// pre-pass computes every row's exact `n_mis` word-parallel, then the
-    /// analog stage senses each count in row order (so the noise stream
-    /// consumes RNG draws exactly as the per-cell walk did).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`CamArray::search`].
-    #[must_use]
-    pub fn search_packed(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-    ) -> SearchOutcome {
-        assert_eq!(read.len(), self.width, "read must match the array width");
-        self.check_mode(mode);
-        // Per row: the digital comparison (exact matchline encoding, no
-        // noise involved) followed by the analog sense against
-        // V_ref(threshold). Counting draws nothing from the RNG, so fusing
-        // the two stages row-by-row keeps the noise stream identical to a
-        // separate pre-pass while avoiding an intermediate counts buffer.
-        let rows: Vec<RowSearchOutcome> = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(row, stored)| {
-                let n_mis = match mode {
-                    MatchMode::EdStar => ed_star_packed(stored, read),
-                    MatchMode::Hamming => hamming_packed(stored, read),
-                };
-                let matched = self.sense.decide(n_mis, self.width, threshold, rng);
-                RowSearchOutcome {
-                    row,
-                    n_mis,
-                    matched,
-                }
-            })
-            .collect();
-        let mean = if rows.is_empty() {
-            0.0
-        } else {
-            rows.iter().map(|r| r.n_mis as f64).sum::<f64>() / rows.len() as f64
-        };
-        let energy_j = self
-            .sense
-            .cam()
-            .search_energy_j(self.rows.len(), self.width, mean);
-        SearchOutcome {
-            rows,
-            mode,
-            threshold,
-            energy_j,
-        }
-    }
-
-    /// [`CamArray::search_packed`] over a **batch** of reads in one array
-    /// pass: the array senses every queued read before the device moves
-    /// to the next array (the unmasked full-scan drain of
-    /// [`crate::AsmcapDevice::search_packed_batch`]).
-    ///
-    /// Every read draws its sensing noise from its **own** RNG stream
-    /// `rngs[i]`, visiting rows in exactly the order
-    /// [`CamArray::search_packed`] would — so the outcome for read `i` is
-    /// byte-identical to `search_packed(&reads[i], …, &mut rngs[i])` run
-    /// on its own.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads` and `rngs` lengths differ, any read width differs
-    /// from the array width, or HD mode is requested on hardware without
-    /// the HD MUX.
-    #[must_use]
-    pub fn search_packed_batch(
-        &self,
-        reads: &[PackedSeq],
-        threshold: usize,
-        mode: MatchMode,
-        rngs: &mut [Rng],
-    ) -> Vec<SearchOutcome> {
-        assert_eq!(
-            reads.len(),
-            rngs.len(),
-            "one sensing RNG stream per batched read"
-        );
-        // Read-major over one array keeps this array's (small) row store
-        // cache-hot across the whole queue while each read's outcome rows
-        // fill contiguously; the per-read row order — and therefore the
-        // noise stream — is exactly the sequential search's.
-        reads
-            .iter()
-            .zip(rngs.iter_mut())
-            .map(|(read, rng)| self.search_packed(read, threshold, mode, rng))
-            .collect()
-    }
-
-    /// [`CamArray::search_packed`] restricted to a shortlist of rows: the
-    /// controller's row-mask gating. Only the listed rows run the digital
-    /// pre-pass and draw sensing noise (in ascending row order, exactly the
-    /// order a full search would reach them), and the energy model is
+    /// A row list is the controller's row-mask gating: only the listed rows
+    /// run the pre-pass and draw sensing noise, and the energy model is
     /// charged for the sensed rows only — unlisted matchlines stay
-    /// pre-charged and untouched.
+    /// pre-charged and untouched. Listing every row is byte-identical to
+    /// `None`, RNG draws included.
     ///
-    /// Searching with every row listed is byte-identical to
-    /// [`CamArray::search_packed`], RNG draws included.
+    /// `fault` is the read's dedicated fault stream and the tally its
+    /// mitigations accumulate into. With faults installed and a fault
+    /// stream passed, every row senses through the fault model (see
+    /// [`CamArray::install_faults`]); otherwise rows sense cleanly and the
+    /// fault stream is left untouched. Either way the sensing stream `rng`
+    /// takes exactly one draw per live, non-quarantined sensed row.
     ///
     /// # Panics
     ///
     /// Panics if the read width differs from the array width, HD mode is
     /// requested on hardware without the HD MUX, `rows` is not strictly
     /// ascending, or a listed row is unoccupied.
+    #[must_use]
+    pub fn search(
+        &self,
+        read: &PackedSeq,
+        threshold: usize,
+        mode: MatchMode,
+        rows: Option<&[usize]>,
+        rng: &mut Rng,
+        fault: Option<(&mut Rng, &mut FaultTally)>,
+    ) -> SearchOutcome {
+        assert_eq!(read.len(), self.width, "read must match the array width");
+        self.check_mode(mode);
+        let rows = match rows {
+            None => self.sense_rows(0..self.rows.len(), read, threshold, mode, rng, fault),
+            Some(rows) => {
+                assert!(
+                    rows.windows(2).all(|pair| pair[0] < pair[1]),
+                    "row shortlist must be strictly ascending"
+                );
+                self.sense_rows(rows.iter().copied(), read, threshold, mode, rng, fault)
+            }
+        };
+        let mut outcome = SearchOutcome {
+            rows,
+            mode,
+            threshold,
+            energy_j: 0.0,
+        };
+        outcome.energy_j =
+            self.sense
+                .cam()
+                .search_energy_j(outcome.rows.len(), self.width, outcome.mean_n_mis());
+        outcome
+    }
+
+    /// [`CamArray::search`] over a row list without fault streams.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`CamArray::search`].
     #[must_use]
     pub fn search_packed_rows(
         &self,
@@ -477,43 +407,60 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
         rows: &[usize],
         rng: &mut Rng,
     ) -> SearchOutcome {
-        assert_eq!(read.len(), self.width, "read must match the array width");
-        self.check_mode(mode);
-        assert!(
-            rows.windows(2).all(|pair| pair[0] < pair[1]),
-            "row shortlist must be strictly ascending"
-        );
-        let rows: Vec<RowSearchOutcome> = rows
-            .iter()
-            .map(|&row| {
-                let stored = &self.rows[row];
-                let n_mis = match mode {
-                    MatchMode::EdStar => ed_star_packed(stored, read),
-                    MatchMode::Hamming => hamming_packed(stored, read),
-                };
-                let matched = self.sense.decide(n_mis, self.width, threshold, rng);
-                RowSearchOutcome {
-                    row,
-                    n_mis,
-                    matched,
-                }
-            })
-            .collect();
-        let mean = if rows.is_empty() {
-            0.0
-        } else {
-            rows.iter().map(|r| r.n_mis as f64).sum::<f64>() / rows.len() as f64
-        };
-        let energy_j = self
-            .sense
-            .cam()
-            .search_energy_j(rows.len(), self.width, mean);
-        SearchOutcome {
-            rows,
-            mode,
-            threshold,
-            energy_j,
+        self.search(read, threshold, mode, Some(rows), rng, None)
+    }
+
+    /// Senses `rows` in order, choosing the clean or the faulty sense once
+    /// for the whole search.
+    fn sense_rows(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        read: &PackedSeq,
+        threshold: usize,
+        mode: MatchMode,
+        rng: &mut Rng,
+        fault: Option<(&mut Rng, &mut FaultTally)>,
+    ) -> Vec<RowSearchOutcome> {
+        match (&self.faults, fault) {
+            (Some(faults), Some((fault_rng, tally))) => {
+                self.row_loop(rows, read, mode, |row, stored, n_true| {
+                    self.sense_row_faulty(
+                        faults, row, stored, read, n_true, threshold, mode, rng, fault_rng, tally,
+                    )
+                })
+            }
+            _ => self.row_loop(rows, read, mode, |_, _, n_mis| {
+                (n_mis, self.sense.decide(n_mis, self.width, threshold, rng))
+            }),
         }
+    }
+
+    /// Per row: the digital comparison (the exact matchline encoding, no
+    /// noise involved), then `sense(row, stored, n_mis)` for the reported
+    /// count and decision. Counting draws nothing from any RNG, so fusing
+    /// the two stages row by row keeps the noise streams identical to a
+    /// separate pre-pass without an intermediate counts buffer.
+    fn row_loop(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        read: &PackedSeq,
+        mode: MatchMode,
+        mut sense: impl FnMut(usize, &PackedSeq, usize) -> (usize, bool),
+    ) -> Vec<RowSearchOutcome> {
+        rows.map(|row| {
+            let stored = &self.rows[row];
+            let n_true = match mode {
+                MatchMode::EdStar => ed_star_packed(stored, read),
+                MatchMode::Hamming => hamming_packed(stored, read),
+            };
+            let (n_mis, matched) = sense(row, stored, n_true);
+            RowSearchOutcome {
+                row,
+                n_mis,
+                matched,
+            }
+        })
+        .collect()
     }
 
     /// Instantiates and installs `plan`'s faults for this array (as array
@@ -642,122 +589,6 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
         (n_eff, decision)
     }
 
-    /// [`CamArray::search_packed`] through the installed fault model.
-    /// With no faults installed this forwards to the fault-free path and
-    /// is byte-identical to it; `fault_rng` is the read's dedicated fault
-    /// stream and `tally` accumulates the mitigation counters.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`CamArray::search_packed`].
-    #[must_use]
-    pub fn search_packed_with_faults(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-        fault_rng: &mut Rng,
-        tally: &mut FaultTally,
-    ) -> SearchOutcome {
-        let Some(faults) = &self.faults else {
-            return self.search_packed(read, threshold, mode, rng);
-        };
-        assert_eq!(read.len(), self.width, "read must match the array width");
-        self.check_mode(mode);
-        let rows: Vec<RowSearchOutcome> = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(row, stored)| {
-                let n_true = match mode {
-                    MatchMode::EdStar => ed_star_packed(stored, read),
-                    MatchMode::Hamming => hamming_packed(stored, read),
-                };
-                let (n_mis, matched) = self.sense_row_faulty(
-                    faults, row, stored, read, n_true, threshold, mode, rng, fault_rng, tally,
-                );
-                RowSearchOutcome {
-                    row,
-                    n_mis,
-                    matched,
-                }
-            })
-            .collect();
-        self.finish_outcome(rows, mode, threshold)
-    }
-
-    /// [`CamArray::search_packed_rows`] through the installed fault model
-    /// (see [`CamArray::search_packed_with_faults`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`CamArray::search_packed_rows`].
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // mirrors search_packed_rows + the fault triple
-    pub fn search_packed_rows_with_faults(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        rows: &[usize],
-        rng: &mut Rng,
-        fault_rng: &mut Rng,
-        tally: &mut FaultTally,
-    ) -> SearchOutcome {
-        let Some(faults) = &self.faults else {
-            return self.search_packed_rows(read, threshold, mode, rows, rng);
-        };
-        assert_eq!(read.len(), self.width, "read must match the array width");
-        self.check_mode(mode);
-        assert!(
-            rows.windows(2).all(|pair| pair[0] < pair[1]),
-            "row shortlist must be strictly ascending"
-        );
-        let rows: Vec<RowSearchOutcome> = rows
-            .iter()
-            .map(|&row| {
-                let stored = &self.rows[row];
-                let n_true = match mode {
-                    MatchMode::EdStar => ed_star_packed(stored, read),
-                    MatchMode::Hamming => hamming_packed(stored, read),
-                };
-                let (n_mis, matched) = self.sense_row_faulty(
-                    faults, row, stored, read, n_true, threshold, mode, rng, fault_rng, tally,
-                );
-                RowSearchOutcome {
-                    row,
-                    n_mis,
-                    matched,
-                }
-            })
-            .collect();
-        self.finish_outcome(rows, mode, threshold)
-    }
-
-    fn finish_outcome(
-        &self,
-        rows: Vec<RowSearchOutcome>,
-        mode: MatchMode,
-        threshold: usize,
-    ) -> SearchOutcome {
-        let mean = if rows.is_empty() {
-            0.0
-        } else {
-            rows.iter().map(|r| r.n_mis as f64).sum::<f64>() / rows.len() as f64
-        };
-        let energy_j = self
-            .sense
-            .cam()
-            .search_energy_j(rows.len(), self.width, mean);
-        SearchOutcome {
-            rows,
-            mode,
-            threshold,
-            energy_j,
-        }
-    }
-
     fn check_mode(&self, mode: MatchMode) {
         assert!(
             self.supports_hd || mode == MatchMode::EdStar,
@@ -837,8 +668,8 @@ mod tests {
                 .unwrap();
         }
         let mut rng = rng(2);
-        let read = &genome.as_slice()[80..112]; // row 2's segment
-        let outcome = array.search(read, 0, MatchMode::EdStar, &mut rng);
+        let read = PackedSeq::from_seq(&genome.window(80..112)); // row 2's segment
+        let outcome = array.search(&read, 0, MatchMode::EdStar, None, &mut rng, None);
         assert_eq!(outcome.matched_rows(), vec![2]);
         assert_eq!(outcome.rows[2].n_mis, 0);
     }
@@ -848,8 +679,9 @@ mod tests {
         let mut array = CamArray::edam(2, 8);
         array.store_row(seq("ACGTACGT").as_slice()).unwrap();
         let mut rng = rng(3);
+        let read = PackedSeq::from_seq(&seq("ACGTACGT"));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            array.search(seq("ACGTACGT").as_slice(), 1, MatchMode::Hamming, &mut rng)
+            array.search(&read, 1, MatchMode::Hamming, None, &mut rng, None)
         }));
         assert!(result.is_err());
     }
@@ -867,48 +699,14 @@ mod tests {
                 .unwrap();
         }
         let mut rng = rng(4);
-        let read = &genome.as_slice()[60..92];
-        let a = asmcap.search(read, 2, MatchMode::EdStar, &mut rng);
-        let e = edam.search(read, 2, MatchMode::EdStar, &mut rng);
+        let read = PackedSeq::from_seq(&genome.window(60..92));
+        let a = asmcap.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
+        let e = edam.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
         assert!(a.energy_j > 0.0);
         assert!(
             e.energy_j > a.energy_j,
             "EDAM should burn more energy per search"
         );
-    }
-
-    #[test]
-    fn batched_search_is_byte_identical_to_sequential() {
-        let genome = GenomeModel::uniform().generate(4_000, 8);
-        let mut array = CamArray::asmcap(12, 64);
-        for i in 0..12 {
-            array
-                .store_row(&genome.as_slice()[i * 120..i * 120 + 64])
-                .unwrap();
-        }
-        let reads: Vec<asmcap_genome::PackedSeq> = (0..5)
-            .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 300..i * 300 + 64)))
-            .collect();
-        for mode in [MatchMode::EdStar, MatchMode::Hamming] {
-            let mut batch_rngs: Vec<_> = (0..5).map(|i| rng(100 + i)).collect();
-            let batched = array.search_packed_batch(&reads, 2, mode, &mut batch_rngs);
-            for (i, read) in reads.iter().enumerate() {
-                let mut solo_rng = rng(100 + i as u64);
-                let solo = array.search_packed(read, 2, mode, &mut solo_rng);
-                assert_eq!(batched[i], solo, "read {i} diverged in {mode} mode");
-            }
-            // The RNG streams stayed in lockstep with the sequential path:
-            // a follow-up search from each stream agrees too.
-            for (i, read) in reads.iter().enumerate() {
-                let mut solo_rng = rng(100 + i as u64);
-                let _ = array.search_packed(read, 2, mode, &mut solo_rng);
-                assert_eq!(
-                    array.search_packed(read, 5, mode, &mut batch_rngs[i]),
-                    array.search_packed(read, 5, mode, &mut solo_rng),
-                    "stream {i} fell out of lockstep"
-                );
-            }
-        }
     }
 
     #[test]
@@ -958,21 +756,21 @@ mod tests {
         let mut plain_rng = rng(42);
         let mut fault_path_rng = rng(42);
         let mut fault_rng = FaultPlan::none().read_fault_rng(42);
-        let plain = array.search_packed(&read, 6, MatchMode::EdStar, &mut plain_rng);
-        let faulted = array.search_packed_with_faults(
+        let plain = array.search(&read, 6, MatchMode::EdStar, None, &mut plain_rng, None);
+        let faulted = array.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut fault_path_rng,
-            &mut fault_rng,
-            &mut tally,
+            Some((&mut fault_rng, &mut tally)),
         );
         assert_eq!(plain, faulted);
         assert_eq!(tally, FaultTally::default());
         // The main stream consumed identically on both paths.
         assert_eq!(
-            array.search_packed(&read, 6, MatchMode::EdStar, &mut plain_rng),
-            array.search_packed(&read, 6, MatchMode::EdStar, &mut fault_path_rng),
+            array.search(&read, 6, MatchMode::EdStar, None, &mut plain_rng, None),
+            array.search(&read, 6, MatchMode::EdStar, None, &mut fault_path_rng, None),
         );
     }
 
@@ -990,21 +788,21 @@ mod tests {
             .unwrap();
         let mut tally_a = FaultTally::default();
         let mut tally_b = FaultTally::default();
-        let out_a = a.search_packed_with_faults(
+        let out_a = a.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut rng(77),
-            &mut plan.read_fault_rng(77),
-            &mut tally_a,
+            Some((&mut plan.read_fault_rng(77), &mut tally_a)),
         );
-        let out_b = b.search_packed_with_faults(
+        let out_b = b.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut rng(77),
-            &mut plan.read_fault_rng(77),
-            &mut tally_b,
+            Some((&mut plan.read_fault_rng(77), &mut tally_b)),
         );
         assert_eq!(out_a, out_b);
         assert_eq!(tally_a, tally_b);
@@ -1037,13 +835,13 @@ mod tests {
             use rand::Rng as _;
             probe.gen()
         };
-        let out = array.search_packed_with_faults(
+        let out = array.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut main,
-            &mut plan.read_fault_rng(5),
-            &mut tally,
+            Some((&mut plan.read_fault_rng(5), &mut tally)),
         );
         // Exact digital answers: row 7 matches itself, all else by count.
         assert!(out.rows[7].matched);
@@ -1089,22 +887,21 @@ mod tests {
         let all_rows: Vec<usize> = (0..array.rows()).collect();
         let mut tally_full = FaultTally::default();
         let mut tally_masked = FaultTally::default();
-        let full = array.search_packed_with_faults(
+        let full = array.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut rng(9),
-            &mut plan.read_fault_rng(9),
-            &mut tally_full,
+            Some((&mut plan.read_fault_rng(9), &mut tally_full)),
         );
-        let masked = array.search_packed_rows_with_faults(
+        let masked = array.search(
             &read,
             6,
             MatchMode::EdStar,
-            &all_rows,
+            Some(&all_rows),
             &mut rng(9),
-            &mut plan.read_fault_rng(9),
-            &mut tally_masked,
+            Some((&mut plan.read_fault_rng(9), &mut tally_masked)),
         );
         assert_eq!(full, masked, "full row list must be byte-identical");
         assert_eq!(tally_full, tally_masked);

@@ -12,7 +12,7 @@ use crate::registers::{RotateDirection, ShiftRegisterFile};
 use crate::top::{AsmcapDevice, DeviceSearchResult};
 use crate::trace::{Trace, TraceEvent};
 use asmcap_circuit::{MlCam, Rng};
-use asmcap_genome::DnaSeq;
+use asmcap_genome::{DnaSeq, PackedSeq};
 
 /// One controller instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,12 +154,10 @@ impl<M: MlCam + SearchEnergy> Controller<M> {
                         !self.registers.contents().is_empty(),
                         "search issued before any read was latched"
                     );
-                    let result = self.device.search(
-                        self.registers.contents(),
-                        *threshold,
-                        *mode,
-                        &mut self.rng,
-                    );
+                    let read = PackedSeq::from_bases(self.registers.contents());
+                    let result =
+                        self.device
+                            .search(&read, *threshold, *mode, None, &mut self.rng, None);
                     self.stats.searches += 1;
                     self.stats.cycles += 1;
                     self.stats.energy_j += result.stats.energy_j;

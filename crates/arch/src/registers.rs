@@ -10,7 +10,6 @@ use std::fmt;
 
 /// Direction of one base-by-base rotation step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RotateDirection {
     /// Towards lower indices (base 1 moves to position 0).
     Left,

@@ -9,7 +9,7 @@
 use crate::array::{CamArray, MatchMode, SearchEnergy, SearchOutcome};
 use crate::fault::{FaultPlan, FaultTally};
 use asmcap_circuit::{ChargeDomainCam, CurrentDomainCam, MlCam, Rng};
-use asmcap_genome::{Base, DnaSeq, PackedRef, PackedSeq, PackedWords as _};
+use asmcap_genome::{DnaSeq, PackedRef, PackedSeq, PackedWords as _};
 use std::fmt;
 
 /// A set of the device's stored rows (flat storage order), selecting
@@ -17,8 +17,8 @@ use std::fmt;
 ///
 /// This is the software model of the controller's row gating: the k-mer
 /// prefilter shortlists candidate segment origins, [`AsmcapDevice::mask_for_origins`]
-/// turns them into a mask, and [`AsmcapDevice::search_packed_masked`] drives
-/// only the masked-in matchlines.
+/// turns them into a mask, and [`AsmcapDevice::search`] under that mask
+/// drives only the masked-in matchlines.
 ///
 /// The set rows are kept as one ascending list, so a mask costs its
 /// shortlist, not the device: building one from `c` origins is
@@ -154,7 +154,7 @@ pub struct SearchStats {
 }
 
 /// Result of searching one read against the whole device.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeviceSearchResult {
     /// All rows whose sense amplifier fired, with their origins.
     pub matches: Vec<DeviceMatch>,
@@ -426,14 +426,15 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
                 available_rows: free,
             });
         }
+        // Arrays fill in index order, so the first array with a free row
+        // only moves forward: one cursor keeps the store O(rows + arrays).
+        let mut cursor = 0;
         for &start in &starts {
             let segment = reference.segment(start, self.width).to_packed();
-            let array = self
-                .arrays
-                .iter_mut()
-                .find(|a| !a.is_full())
-                .expect("capacity checked above");
-            array
+            while self.arrays[cursor].is_full() {
+                cursor += 1;
+            }
+            self.arrays[cursor]
                 .store_row_packed(segment)
                 .expect("width and capacity checked");
             if self.origins.last().is_some_and(|&last| start < last) {
@@ -457,65 +458,64 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         self.origins.get(base + id.row).copied()
     }
 
-    /// Broadcasts `read` to every array and senses all matchlines at
-    /// threshold `T` in `mode`. One search operation in hardware.
+    /// One search operation: the controller broadcasts `read` to the
+    /// arrays and senses their matchlines at threshold `T` in `mode`. The
+    /// only device walk.
     ///
-    /// Packs the read once and forwards to [`AsmcapDevice::search_packed`].
+    /// With `mask: None` every occupied array senses all its rows. With a
+    /// [`RowMask`] only masked-in rows run the digital pre-pass and are
+    /// sensed: the walk visits the mask's rows once, not the arrays, so
+    /// its cost is `O(masked rows · log arrays)` plus the sensing itself,
+    /// and arrays with no masked-in row issue no search operation and burn
+    /// no energy. Either way arrays are visited in index order and rows
+    /// ascending within each, so a full mask is byte-identical to `None`,
+    /// RNG draws included.
+    ///
+    /// `rng` is the read's sensing stream. `fault_rng` is its dedicated
+    /// fault stream: passed, each array with installed faults senses
+    /// through its fault model and the result's stats carry the
+    /// `resensed`/`requarried` mitigation counters; with no faults
+    /// installed the walk is byte-identical to passing `None`.
     ///
     /// # Panics
     ///
-    /// Panics if the read width differs from the row width.
+    /// Panics if the read width differs from the row width or the mask
+    /// does not cover exactly the stored rows.
     #[must_use]
     pub fn search(
-        &self,
-        read: &[Base],
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-    ) -> DeviceSearchResult {
-        assert_eq!(read.len(), self.width, "read must match the row width");
-        self.search_packed(&PackedSeq::from_bases(read), threshold, mode, rng)
-    }
-
-    /// [`AsmcapDevice::search`] over an already packed read: the global
-    /// buffer latches the packed word stream once and every array runs its
-    /// digital pre-pass + analog sense split on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read width differs from the row width.
-    #[must_use]
-    pub fn search_packed(
         &self,
         read: &PackedSeq,
         threshold: usize,
         mode: MatchMode,
+        mask: Option<&RowMask>,
         rng: &mut Rng,
+        mut fault_rng: Option<&mut Rng>,
     ) -> DeviceSearchResult {
         assert_eq!(read.len(), self.width, "read must match the row width");
-        let mut result = empty_result();
-        for (array_idx, array) in self.occupied_arrays() {
-            let outcome = array.search_packed(read, threshold, mode, rng);
+        let mut result = DeviceSearchResult::default();
+        let mut tally = FaultTally::default();
+        let mut search_array = |array_idx: usize, rows: Option<&[usize]>| {
+            let fault = fault_rng.as_deref_mut().map(|f| (f, &mut tally));
+            let outcome = self.arrays[array_idx].search(read, threshold, mode, rows, rng, fault);
             self.absorb(&mut result, array_idx, &outcome);
+        };
+        match mask {
+            None => {
+                for (array_idx, _) in self.occupied_arrays() {
+                    search_array(array_idx, None);
+                }
+            }
+            Some(mask) => {
+                self.walk_mask(mask, |array_idx, rows| search_array(array_idx, Some(rows)))
+            }
         }
+        result.stats.resensed = tally.resensed;
+        result.stats.requarried = tally.requarried;
         result
     }
 
-    /// [`AsmcapDevice::search_packed`] over a **batch** of reads.
-    ///
-    /// The drain is array-major: each occupied array senses every queued
-    /// read before the walk moves to the next array. Every read senses
-    /// every stored row here, so the order changes neither the work nor
-    /// any result (on this software device it measured no faster than
-    /// per-read calls either). The masked batch
-    /// ([`AsmcapDevice::search_packed_batch_masked`]) is a plain per-read
-    /// loop, because each read's cost is its own shortlist.
-    ///
-    /// Read `i` draws all sensing noise from `rngs[i]`, visiting arrays
-    /// and rows in exactly the order [`AsmcapDevice::search_packed`]
-    /// would, so `results[i]` is **byte-identical** to
-    /// `search_packed(&reads[i], …, &mut rngs[i])` run on its own —
-    /// matches, energy, and RNG stream state included.
+    /// A batch of unmasked, fault-free searches: `results[i]` is
+    /// `search(&reads[i], …, None, &mut rngs[i], None)`.
     ///
     /// # Panics
     ///
@@ -534,21 +534,15 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             rngs.len(),
             "one sensing RNG stream per batched read"
         );
-        let mut results: Vec<DeviceSearchResult> = reads.iter().map(|_| empty_result()).collect();
-        for (array_idx, array) in self.occupied_arrays() {
-            let outcomes = array.search_packed_batch(reads, threshold, mode, rngs);
-            for (result, outcome) in results.iter_mut().zip(&outcomes) {
-                self.absorb(result, array_idx, outcome);
-            }
-        }
-        results
+        reads
+            .iter()
+            .zip(rngs)
+            .map(|(read, rng)| self.search(read, threshold, mode, None, rng, None))
+            .collect()
     }
 
-    /// [`AsmcapDevice::search_packed_batch`] under per-read row masks: a
-    /// loop of [`AsmcapDevice::search_packed_masked`] calls, so
-    /// `results[i]` is byte-identical to
-    /// `search_packed_masked(&reads[i], …, &masks[i], &mut rngs[i])` run
-    /// on its own and each read costs its own shortlist.
+    /// A batch of masked, fault-free searches: `results[i]` is
+    /// `search(&reads[i], …, Some(&masks[i]), &mut rngs[i], None)`.
     ///
     /// # Panics
     ///
@@ -573,8 +567,8 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         reads
             .iter()
             .zip(masks)
-            .zip(rngs.iter_mut())
-            .map(|((read, mask), rng)| self.search_packed_masked(read, threshold, mode, mask, rng))
+            .zip(rngs)
+            .map(|((read, mask), rng)| self.search(read, threshold, mode, Some(mask), rng, None))
             .collect()
     }
 
@@ -612,185 +606,6 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         mask
     }
 
-    /// [`AsmcapDevice::search_packed`] under a row mask: the controller
-    /// broadcasts the read, but only masked-in rows run the digital
-    /// pre-pass and are sensed (each array senses its masked rows in row
-    /// order, so the noise stream for the rows actually sensed is drawn in
-    /// the same order a full search would draw it). Arrays with no
-    /// masked-in row issue no search operation and burn no energy.
-    ///
-    /// The walk visits the mask's rows once, not the arrays: its cost is
-    /// `O(masked rows · log arrays)` plus the sensing itself.
-    ///
-    /// Searching under [`RowMask::full`] is byte-identical to
-    /// [`AsmcapDevice::search_packed`], RNG draws included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read width differs from the row width or the mask
-    /// does not cover exactly the stored rows.
-    #[must_use]
-    pub fn search_packed_masked(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        mask: &RowMask,
-        rng: &mut Rng,
-    ) -> DeviceSearchResult {
-        assert_eq!(read.len(), self.width, "read must match the row width");
-        self.walk_mask(mask, |array, rows| {
-            array.search_packed_rows(read, threshold, mode, rows, rng)
-        })
-    }
-
-    /// [`AsmcapDevice::search_packed`] through each array's installed
-    /// fault model: `fault_rng` is this read's dedicated fault stream and
-    /// the result's stats carry the `resensed`/`requarried` mitigation
-    /// counters. With no faults installed the walk is byte-identical to
-    /// the fault-free path.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`AsmcapDevice::search_packed`].
-    #[must_use]
-    pub fn search_packed_with_faults(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        rng: &mut Rng,
-        fault_rng: &mut Rng,
-    ) -> DeviceSearchResult {
-        assert_eq!(read.len(), self.width, "read must match the row width");
-        let mut result = empty_result();
-        let mut tally = FaultTally::default();
-        for (array_idx, array) in self.occupied_arrays() {
-            let outcome =
-                array.search_packed_with_faults(read, threshold, mode, rng, fault_rng, &mut tally);
-            self.absorb(&mut result, array_idx, &outcome);
-        }
-        with_tally(result, &tally)
-    }
-
-    /// [`AsmcapDevice::search_packed_masked`] through the fault model
-    /// (see [`AsmcapDevice::search_packed_with_faults`]).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`AsmcapDevice::search_packed_masked`].
-    #[must_use]
-    pub fn search_packed_masked_with_faults(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        mask: &RowMask,
-        rng: &mut Rng,
-        fault_rng: &mut Rng,
-    ) -> DeviceSearchResult {
-        assert_eq!(read.len(), self.width, "read must match the row width");
-        let mut tally = FaultTally::default();
-        let result = self.walk_mask(mask, |array, rows| {
-            array.search_packed_rows_with_faults(
-                read, threshold, mode, rows, rng, fault_rng, &mut tally,
-            )
-        });
-        with_tally(result, &tally)
-    }
-
-    /// [`AsmcapDevice::search_packed_batch`] through the fault model:
-    /// read `i` draws sensing noise from `rngs[i]` and fault events from
-    /// `fault_rngs[i]`, visiting arrays and rows in exactly the order
-    /// [`AsmcapDevice::search_packed_with_faults`] would — so
-    /// `results[i]` is byte-identical to the solo faulted search.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads`, `rngs`, and `fault_rngs` lengths differ or any
-    /// read width differs from the row width.
-    #[must_use]
-    pub fn search_packed_batch_with_faults(
-        &self,
-        reads: &[PackedSeq],
-        threshold: usize,
-        mode: MatchMode,
-        rngs: &mut [Rng],
-        fault_rngs: &mut [Rng],
-    ) -> Vec<DeviceSearchResult> {
-        assert_eq!(
-            reads.len(),
-            rngs.len(),
-            "one sensing RNG stream per batched read"
-        );
-        assert_eq!(
-            reads.len(),
-            fault_rngs.len(),
-            "one fault RNG stream per batched read"
-        );
-        let mut results: Vec<DeviceSearchResult> = reads.iter().map(|_| empty_result()).collect();
-        let mut tallies = vec![FaultTally::default(); reads.len()];
-        for (array_idx, array) in self.occupied_arrays() {
-            for (i, read) in reads.iter().enumerate() {
-                let outcome = array.search_packed_with_faults(
-                    read,
-                    threshold,
-                    mode,
-                    &mut rngs[i],
-                    &mut fault_rngs[i],
-                    &mut tallies[i],
-                );
-                self.absorb(&mut results[i], array_idx, &outcome);
-            }
-        }
-        results
-            .into_iter()
-            .zip(&tallies)
-            .map(|(result, tally)| with_tally(result, tally))
-            .collect()
-    }
-
-    /// [`AsmcapDevice::search_packed_batch_masked`] through the fault
-    /// model: a loop of [`AsmcapDevice::search_packed_masked_with_faults`]
-    /// calls, so `results[i]` is byte-identical to the solo masked,
-    /// faulted search of read `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads`, `masks`, `rngs`, and `fault_rngs` lengths
-    /// differ, any read width differs from the row width, or a mask does
-    /// not cover exactly the stored rows.
-    #[must_use]
-    pub fn search_packed_batch_masked_with_faults(
-        &self,
-        reads: &[PackedSeq],
-        threshold: usize,
-        mode: MatchMode,
-        masks: &[RowMask],
-        rngs: &mut [Rng],
-        fault_rngs: &mut [Rng],
-    ) -> Vec<DeviceSearchResult> {
-        assert_eq!(
-            reads.len(),
-            rngs.len(),
-            "one sensing RNG stream per batched read"
-        );
-        assert_eq!(
-            reads.len(),
-            fault_rngs.len(),
-            "one fault RNG stream per batched read"
-        );
-        assert_eq!(reads.len(), masks.len(), "one row mask per batched read");
-        reads
-            .iter()
-            .zip(masks)
-            .zip(rngs.iter_mut().zip(fault_rngs.iter_mut()))
-            .map(|((read, mask), (rng, fault_rng))| {
-                self.search_packed_masked_with_faults(read, threshold, mode, mask, rng, fault_rng)
-            })
-            .collect()
-    }
-
     /// The arrays holding at least one row, with their indices.
     fn occupied_arrays(&self) -> impl Iterator<Item = (usize, &CamArray<M>)> {
         self.arrays
@@ -804,17 +619,12 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     /// full walk reaches them in. `search` runs on every array owning a
     /// masked row, with that array's row indices; arrays owning none are
     /// skipped without being visited.
-    fn walk_mask(
-        &self,
-        mask: &RowMask,
-        mut search: impl FnMut(&CamArray<M>, &[usize]) -> SearchOutcome,
-    ) -> DeviceSearchResult {
+    fn walk_mask(&self, mask: &RowMask, mut search: impl FnMut(usize, &[usize])) {
         assert_eq!(
             mask.len(),
             self.origins.len(),
             "mask must cover the stored rows"
         );
-        let mut result = empty_result();
         let mut pending = mask.ones_within(0..mask.len());
         let mut rows: Vec<usize> = Vec::new();
         while let Some(&first) = pending.first() {
@@ -826,10 +636,8 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             rows.clear();
             rows.extend(pending[..owned].iter().map(|&flat| flat - base));
             pending = &pending[owned..];
-            let outcome = search(&self.arrays[array_idx], &rows);
-            self.absorb(&mut result, array_idx, &outcome);
+            search(array_idx, &rows);
         }
-        result
     }
 
     /// Adds one array search to a read's result: its energy, one search
@@ -862,26 +670,12 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     }
 }
 
-/// A search result before any array has reported.
-fn empty_result() -> DeviceSearchResult {
-    DeviceSearchResult {
-        matches: Vec::new(),
-        stats: SearchStats::default(),
-    }
-}
-
-/// `result` with the fault-mitigation counters of `tally`.
-fn with_tally(mut result: DeviceSearchResult, tally: &FaultTally) -> DeviceSearchResult {
-    result.stats.resensed = tally.resensed;
-    result.stats.requarried = tally.requarried;
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use asmcap_circuit::rng;
-    use asmcap_genome::GenomeModel;
+    use asmcap_genome::{ErrorProfile, GenomeModel, ReadSampler};
 
     fn small_device() -> AsmcapDevice<ChargeDomainCam> {
         DeviceBuilder::new()
@@ -889,6 +683,10 @@ mod tests {
             .rows_per_array(16)
             .row_width(64)
             .build_asmcap()
+    }
+
+    fn packed(seq: &DnaSeq) -> PackedSeq {
+        PackedSeq::from_seq(seq)
     }
 
     #[test]
@@ -911,6 +709,24 @@ mod tests {
         assert_eq!(device.arrays()[0].rows(), 16);
         assert_eq!(device.arrays()[1].rows(), 16);
         assert_eq!(device.arrays()[2].rows(), 8);
+        // A second reference starts partway through the third array: it
+        // fills that array's 8 free rows, then spills into the fourth.
+        let second = GenomeModel::uniform().generate(offset_len(12, 64, 64), 4);
+        assert_eq!(device.store_reference(&second, 64).unwrap(), 12);
+        let rows: Vec<usize> = device.arrays().iter().map(CamArray::rows).collect();
+        assert_eq!(rows, vec![16, 16, 16, 4]);
+        let origin = |array, row| device.origin_of(RowId { array, row });
+        assert_eq!(origin(0, 0), Some(0));
+        assert_eq!(origin(2, 7), Some(39 * 32), "first reference's last row");
+        assert_eq!(origin(2, 8), Some(0), "second reference's first row");
+        assert_eq!(origin(2, 15), Some(7 * 64));
+        assert_eq!(origin(3, 0), Some(8 * 64));
+        assert_eq!(origin(3, 3), Some(11 * 64));
+        assert_eq!(origin(3, 4), None);
+        assert_eq!(
+            device.arrays()[2].stored_row(8),
+            Some(second.window(0..64).into_bases())
+        );
     }
 
     fn offset_len(rows: usize, width: usize, stride: usize) -> usize {
@@ -933,8 +749,8 @@ mod tests {
         device.store_reference(&genome, 16).unwrap();
         let mut rng = rng(11);
         // Read taken exactly at row 20's origin = 20 * 16 = 320.
-        let read = genome.window(320..384);
-        let result = device.search(read.as_slice(), 0, MatchMode::EdStar, &mut rng);
+        let read = packed(&genome.window(320..384));
+        let result = device.search(&read, 0, MatchMode::EdStar, None, &mut rng, None);
         assert!(
             result
                 .matches
@@ -966,22 +782,20 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 15);
         device.store_reference(&genome, 16).unwrap();
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(320..384));
+        let read = packed(&genome.window(320..384));
         let mask = RowMask::full(device.stored_rows());
         for t in [0usize, 2, 6] {
             let mut rng_a = rng(21);
             let mut rng_b = rng(21);
-            let full = device.search_packed(&read, t, MatchMode::EdStar, &mut rng_a);
-            let masked =
-                device.search_packed_masked(&read, t, MatchMode::EdStar, &mask, &mut rng_b);
-            assert_eq!(full, masked, "full mask diverged at T={t}");
-            // A second search from the same streams agrees too, proving the
-            // RNGs stayed in lockstep through the first one.
-            assert_eq!(
-                device.search_packed(&read, t, MatchMode::Hamming, &mut rng_a),
-                device.search_packed_masked(&read, t, MatchMode::Hamming, &mask, &mut rng_b),
-                "RNG streams fell out of lockstep at T={t}"
-            );
+            for mode in [MatchMode::EdStar, MatchMode::Hamming] {
+                // The second mode searches from the streams the first left
+                // behind, proving the RNGs stayed in lockstep.
+                assert_eq!(
+                    device.search(&read, t, mode, None, &mut rng_a, None),
+                    device.search(&read, t, mode, Some(&mask), &mut rng_b, None),
+                    "full mask diverged at T={t} in {mode} mode"
+                );
+            }
         }
     }
 
@@ -990,12 +804,12 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 16);
         device.store_reference(&genome, 16).unwrap();
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(320..384));
+        let read = packed(&genome.window(320..384));
         // Shortlist exactly the true origin: one row, one array searched.
         let mask = device.mask_for_origins(&[320]);
         assert_eq!(mask.count_ones(), 1);
         let mut noise = rng(22);
-        let result = device.search_packed_masked(&read, 1, MatchMode::EdStar, &mask, &mut noise);
+        let result = device.search(&read, 1, MatchMode::EdStar, Some(&mask), &mut noise, None);
         assert_eq!(result.stats.array_searches, 1, "idle arrays must be gated");
         assert!(result
             .matches
@@ -1003,18 +817,13 @@ mod tests {
             .any(|m| m.origin == 320 && m.n_mis == 0));
         // Energy scales with sensed rows: far below the full search.
         let mut noise = rng(22);
-        let full = device.search_packed(&read, 1, MatchMode::EdStar, &mut noise);
+        let full = device.search(&read, 1, MatchMode::EdStar, None, &mut noise, None);
         assert!(result.stats.energy_j < full.stats.energy_j / 4.0);
 
         // An all-clear mask issues no search at all.
         let mut noise = rng(23);
-        let none = device.search_packed_masked(
-            &read,
-            1,
-            MatchMode::EdStar,
-            &RowMask::new(device.stored_rows()),
-            &mut noise,
-        );
+        let empty = RowMask::new(device.stored_rows());
+        let none = device.search(&read, 1, MatchMode::EdStar, Some(&empty), &mut noise, None);
         assert_eq!(none.stats.array_searches, 0);
         assert_eq!(none.stats.energy_j, 0.0);
         assert!(none.matches.is_empty());
@@ -1025,16 +834,17 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 41);
         device.store_reference(&genome, 16).unwrap();
-        let reads: Vec<asmcap_genome::PackedSeq> = (0..6)
-            .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 100..i * 100 + 64)))
+        let reads: Vec<PackedSeq> = (0..6)
+            .map(|i| packed(&genome.window(i * 100..i * 100 + 64)))
             .collect();
         for t in [0usize, 2, 6] {
             let mut batch_rngs: Vec<_> = (0..6).map(|i| rng(500 + i)).collect();
             let batched = device.search_packed_batch(&reads, t, MatchMode::EdStar, &mut batch_rngs);
             for (i, read) in reads.iter().enumerate() {
                 let mut solo_rng = rng(500 + i as u64);
-                let solo = device.search_packed(read, t, MatchMode::EdStar, &mut solo_rng);
+                let solo = device.search(read, t, MatchMode::EdStar, None, &mut solo_rng, None);
                 assert_eq!(batched[i], solo, "read {i} diverged at T={t}");
+                assert_eq!(next_draw(&mut batch_rngs[i]), next_draw(&mut solo_rng));
             }
         }
     }
@@ -1044,8 +854,8 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 42);
         device.store_reference(&genome, 16).unwrap();
-        let reads: Vec<asmcap_genome::PackedSeq> = (0..4)
-            .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 160..i * 160 + 64)))
+        let reads: Vec<PackedSeq> = (0..4)
+            .map(|i| packed(&genome.window(i * 160..i * 160 + 64)))
             .collect();
         // Per-read masks of very different sizes: an adversarially skewed
         // shortlist (read 0 senses almost everything, read 3 one row).
@@ -1068,8 +878,14 @@ mod tests {
         );
         for (i, read) in reads.iter().enumerate() {
             let mut solo_rng = rng(900 + i as u64);
-            let solo =
-                device.search_packed_masked(read, 2, MatchMode::EdStar, &masks[i], &mut solo_rng);
+            let solo = device.search(
+                read,
+                2,
+                MatchMode::EdStar,
+                Some(&masks[i]),
+                &mut solo_rng,
+                None,
+            );
             assert_eq!(batched[i], solo, "masked read {i} diverged");
         }
         // A batch whose masks are all-set degenerates to the unmasked batch.
@@ -1113,43 +929,37 @@ mod tests {
         assert_eq!(mask.ones_in(0..500).count(), 8, "range clamps to len");
     }
 
-    /// Reference for the masked walk: every occupied array, in index
-    /// order, searching the rows `mask.get` admits.
+    /// Reference for the device walk: every array in index order, each
+    /// searching the rows the mask admits (all of its rows without a mask)
+    /// as an explicit row list, skipping arrays left with none, and
+    /// threading the read's fault stream through every array.
     fn array_walk_oracle(
         device: &AsmcapDevice<ChargeDomainCam>,
-        read: &asmcap_genome::PackedSeq,
-        mask: &RowMask,
-        faulted: bool,
+        read: &PackedSeq,
+        threshold: usize,
+        mode: MatchMode,
+        mask: Option<&RowMask>,
         rng: &mut Rng,
-        fault_rng: &mut Rng,
+        mut fault_rng: Option<&mut Rng>,
     ) -> DeviceSearchResult {
-        let mut result = empty_result();
+        let mut result = DeviceSearchResult::default();
         let mut tally = FaultTally::default();
         let mut flat_base = 0;
         for (array_idx, array) in device.arrays().iter().enumerate() {
             let rows: Vec<usize> = (0..array.rows())
-                .filter(|&row| mask.get(flat_base + row))
+                .filter(|&row| mask.is_none_or(|mask| mask.get(flat_base + row)))
                 .collect();
             flat_base += array.rows();
             if rows.is_empty() {
                 continue;
             }
-            let outcome = if faulted {
-                array.search_packed_rows_with_faults(
-                    read,
-                    4,
-                    MatchMode::EdStar,
-                    &rows,
-                    rng,
-                    fault_rng,
-                    &mut tally,
-                )
-            } else {
-                array.search_packed_rows(read, 4, MatchMode::EdStar, &rows, rng)
-            };
+            let fault = fault_rng.as_deref_mut().map(|f| (f, &mut tally));
+            let outcome = array.search(read, threshold, mode, Some(&rows), rng, fault);
             device.absorb(&mut result, array_idx, &outcome);
         }
-        with_tally(result, &tally)
+        result.stats.resensed = tally.resensed;
+        result.stats.requarried = tally.requarried;
+        result
     }
 
     fn next_draw(rng: &mut Rng) -> u64 {
@@ -1165,13 +975,94 @@ mod tests {
     }
 
     #[test]
+    fn device_search_matches_the_array_walk_oracle() {
+        use rand::Rng as _;
+        // 60 rows over five 16-row arrays: arrays 0-2 full, array 3 holds
+        // 12 rows and array 4 none.
+        let mut device = DeviceBuilder::new()
+            .arrays(5)
+            .rows_per_array(16)
+            .row_width(64)
+            .build_asmcap();
+        let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 57);
+        device.store_reference(&genome, 16).unwrap();
+        let n = device.stored_rows();
+        let sampler = ReadSampler::new(64, ErrorProfile::condition_a());
+        let mut cases = rng(58);
+        let (mut matched, mut mitigated) = (0, 0);
+        for plan in [FaultPlan::none(), FaultPlan::paper_corner(59)] {
+            device.install_faults(&plan, 4);
+            for case in 0..64u64 {
+                // Half the reads sit on the stored grid (so rows match),
+                // half are foreign.
+                let read = if case % 2 == 0 {
+                    let origin = cases.gen_range(0..n) * 16;
+                    packed(&sampler.sample_at(&genome, origin, &mut cases).bases)
+                } else {
+                    packed(&GenomeModel::uniform().generate(64, 1_000 + case))
+                };
+                let mask = match case % 4 {
+                    0 => None,
+                    1 => Some(RowMask::new(n)),
+                    2 => Some(RowMask::full(n)),
+                    _ => {
+                        let density = [0.03, 0.2, 0.6][cases.gen_range(0..3)];
+                        let rows: Vec<usize> = (0..n).filter(|_| cases.gen_bool(density)).collect();
+                        Some(mask_of(n, &rows))
+                    }
+                };
+                let threshold = [0usize, 2, 4, 8][cases.gen_range(0..4)];
+                let mode = if cases.gen_bool(0.5) {
+                    MatchMode::EdStar
+                } else {
+                    MatchMode::Hamming
+                };
+                let with_fault_stream = cases.gen_bool(0.75);
+                let fault_seed = cases.gen::<u64>();
+                let (mut rng_a, mut fault_a) = (rng(case), plan.read_fault_rng(fault_seed));
+                let (mut rng_b, mut fault_b) = (rng(case), plan.read_fault_rng(fault_seed));
+                let walked = device.search(
+                    &read,
+                    threshold,
+                    mode,
+                    mask.as_ref(),
+                    &mut rng_a,
+                    with_fault_stream.then_some(&mut fault_a),
+                );
+                let oracle = array_walk_oracle(
+                    &device,
+                    &read,
+                    threshold,
+                    mode,
+                    mask.as_ref(),
+                    &mut rng_b,
+                    with_fault_stream.then_some(&mut fault_b),
+                );
+                let name = format!(
+                    "case {case} (faults: {}, fault stream: {with_fault_stream})",
+                    plan.is_active()
+                );
+                assert_eq!(walked, oracle, "{name}");
+                assert_eq!(next_draw(&mut rng_a), next_draw(&mut rng_b), "{name}");
+                assert_eq!(next_draw(&mut fault_a), next_draw(&mut fault_b), "{name}");
+                matched += walked.matches.len();
+                mitigated += walked.stats.resensed + walked.stats.requarried;
+            }
+        }
+        // The cases reached the paths they are meant to cover.
+        assert!(
+            matched > 0 && mitigated > 0,
+            "{matched} matches, {mitigated} mitigations"
+        );
+    }
+
+    #[test]
     fn masked_walk_edges_match_the_array_walk() {
-        use crate::fault::FaultPlan;
         // 60 rows over 16-row arrays: arrays 0-2 full, array 3 holds 12.
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 54);
         device.store_reference(&genome, 16).unwrap();
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(256..320));
+        let read = packed(&genome.window(256..320));
         let n = device.stored_rows();
         let cases: [(&str, Vec<usize>, usize); 6] = [
             ("first array only", vec![0, 5, 15], 1),
@@ -1189,43 +1080,29 @@ mod tests {
                 let mask = mask_of(n, rows);
                 let (mut rng_a, mut fault_a) = (rng(81), rng(82));
                 let (mut rng_b, mut fault_b) = (rng(81), rng(82));
-                let walked = if faulted {
-                    device.search_packed_masked_with_faults(
-                        &read,
-                        4,
-                        MatchMode::EdStar,
-                        &mask,
-                        &mut rng_a,
-                        &mut fault_a,
-                    )
-                } else {
-                    device.search_packed_masked(&read, 4, MatchMode::EdStar, &mask, &mut rng_a)
-                };
-                let oracle =
-                    array_walk_oracle(&device, &read, &mask, faulted, &mut rng_b, &mut fault_b);
+                let walked = device.search(
+                    &read,
+                    4,
+                    MatchMode::EdStar,
+                    Some(&mask),
+                    &mut rng_a,
+                    faulted.then_some(&mut fault_a),
+                );
+                let oracle = array_walk_oracle(
+                    &device,
+                    &read,
+                    4,
+                    MatchMode::EdStar,
+                    Some(&mask),
+                    &mut rng_b,
+                    faulted.then_some(&mut fault_b),
+                );
                 assert_eq!(walked, oracle, "{name} (faulted: {faulted})");
                 assert_eq!(walked.stats.array_searches, *arrays_hit, "{name}");
                 assert_eq!(next_draw(&mut rng_a), next_draw(&mut rng_b), "{name}");
                 assert_eq!(next_draw(&mut fault_a), next_draw(&mut fault_b), "{name}");
             }
         }
-        // The full mask is byte-identical to the unmasked faulted walk.
-        let full = RowMask::full(n);
-        let (mut rng_a, mut fault_a) = (rng(83), rng(84));
-        let (mut rng_b, mut fault_b) = (rng(83), rng(84));
-        assert_eq!(
-            device.search_packed_masked_with_faults(
-                &read,
-                4,
-                MatchMode::EdStar,
-                &full,
-                &mut rng_a,
-                &mut fault_a
-            ),
-            device.search_packed_with_faults(&read, 4, MatchMode::EdStar, &mut rng_b, &mut fault_b),
-        );
-        assert_eq!(next_draw(&mut rng_a), next_draw(&mut rng_b));
-        assert_eq!(next_draw(&mut fault_a), next_draw(&mut fault_b));
     }
 
     #[test]
@@ -1233,21 +1110,22 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 55);
         device.store_reference(&genome, 16).unwrap();
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(0..64));
+        device.install_faults(&FaultPlan::paper_corner(56), 4);
+        let read = packed(&genome.window(0..64));
         let empty = RowMask::new(device.stored_rows());
         let (mut walked, mut fresh) = (rng(91), rng(91));
         let (mut fault_walked, mut fault_fresh) = (rng(92), rng(92));
-        let plain = device.search_packed_masked(&read, 4, MatchMode::EdStar, &empty, &mut walked);
-        let faulted = device.search_packed_masked_with_faults(
+        let plain = device.search(&read, 4, MatchMode::EdStar, Some(&empty), &mut walked, None);
+        let faulted = device.search(
             &read,
             4,
             MatchMode::EdStar,
-            &empty,
+            Some(&empty),
             &mut walked,
-            &mut fault_walked,
+            Some(&mut fault_walked),
         );
         for result in [plain, faulted] {
-            assert_eq!(result, empty_result());
+            assert_eq!(result, DeviceSearchResult::default());
         }
         assert_eq!(next_draw(&mut walked), next_draw(&mut fresh));
         assert_eq!(next_draw(&mut fault_walked), next_draw(&mut fault_fresh));
@@ -1255,14 +1133,12 @@ mod tests {
 
     #[test]
     fn masked_batches_are_per_read_loops_down_to_the_rng_state() {
-        use crate::fault::FaultPlan;
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 56);
         device.store_reference(&genome, 16).unwrap();
-        device.install_faults(&FaultPlan::paper_corner(23), 4);
         let n = device.stored_rows();
-        let reads: Vec<asmcap_genome::PackedSeq> = (0..5)
-            .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 150..i * 150 + 64)))
+        let reads: Vec<PackedSeq> = (0..5)
+            .map(|i| packed(&genome.window(i * 150..i * 150 + 64)))
             .collect();
         let masks = vec![
             RowMask::new(n),
@@ -1271,38 +1147,15 @@ mod tests {
             RowMask::full(n),
             mask_of(n, &[0, 20, 40, 59]),
         ];
-        let streams = |base: u64| -> Vec<Rng> { (0..5).map(|i| rng(base + i)).collect() };
-        let (mut rngs, mut fault_rngs) = (streams(300), streams(400));
-        let plain =
+        let mut rngs: Vec<Rng> = (0..5).map(|i| rng(300 + i)).collect();
+        let batched =
             device.search_packed_batch_masked(&reads, 4, MatchMode::Hamming, &masks, &mut rngs);
-        let faulted = device.search_packed_batch_masked_with_faults(
-            &reads,
-            4,
-            MatchMode::EdStar,
-            &masks,
-            &mut rngs,
-            &mut fault_rngs,
-        );
         for (i, (read, mask)) in reads.iter().zip(&masks).enumerate() {
-            let (mut solo, mut solo_fault) = (rng(300 + i as u64), rng(400 + i as u64));
-            let solo_plain =
-                device.search_packed_masked(read, 4, MatchMode::Hamming, mask, &mut solo);
-            let solo_faulted = device.search_packed_masked_with_faults(
-                read,
-                4,
-                MatchMode::EdStar,
-                mask,
-                &mut solo,
-                &mut solo_fault,
-            );
-            assert_eq!(plain[i], solo_plain, "read {i}");
-            assert_eq!(faulted[i], solo_faulted, "faulted read {i}");
+            let mut solo = rng(300 + i as u64);
+            let solo_result =
+                device.search(read, 4, MatchMode::Hamming, Some(mask), &mut solo, None);
+            assert_eq!(batched[i], solo_result, "read {i}");
             assert_eq!(next_draw(&mut rngs[i]), next_draw(&mut solo), "read {i}");
-            assert_eq!(
-                next_draw(&mut fault_rngs[i]),
-                next_draw(&mut solo_fault),
-                "read {i}"
-            );
         }
     }
 
@@ -1374,7 +1227,6 @@ mod tests {
 
     #[test]
     fn device_fault_install_is_observable_and_inactive_plan_clears() {
-        use crate::fault::FaultPlan;
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 51);
         device.store_reference(&genome, 16).unwrap();
@@ -1388,13 +1240,14 @@ mod tests {
         device.install_faults(&plan, 6);
         assert!(device.has_faults());
         assert_eq!(device.quarantined_rows(), device.stored_rows());
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(320..384));
-        let result = device.search_packed_with_faults(
+        let read = packed(&genome.window(320..384));
+        let result = device.search(
             &read,
             6,
             MatchMode::EdStar,
+            None,
             &mut rng(1),
-            &mut plan.read_fault_rng(1),
+            Some(&mut plan.read_fault_rng(1)),
         );
         assert_eq!(result.stats.requarried, device.stored_rows() as u64);
         // Quarantined rows answer exactly: the true origin matches.
@@ -1406,86 +1259,25 @@ mod tests {
 
     #[test]
     fn faultless_faulted_search_is_byte_identical_to_plain() {
-        use crate::fault::FaultPlan;
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 52);
         device.store_reference(&genome, 16).unwrap();
-        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(160..224));
+        let read = packed(&genome.window(160..224));
         let plan = FaultPlan::none();
         let mut rng_a = rng(61);
         let mut rng_b = rng(61);
-        let plain = device.search_packed(&read, 4, MatchMode::EdStar, &mut rng_a);
-        let faulted = device.search_packed_with_faults(
+        let plain = device.search(&read, 4, MatchMode::EdStar, None, &mut rng_a, None);
+        let faulted = device.search(
             &read,
             4,
             MatchMode::EdStar,
+            None,
             &mut rng_b,
-            &mut plan.read_fault_rng(61),
+            Some(&mut plan.read_fault_rng(61)),
         );
         assert_eq!(plain, faulted);
         assert_eq!(faulted.stats.resensed, 0);
         assert_eq!(faulted.stats.requarried, 0);
-    }
-
-    #[test]
-    fn faulted_batch_is_byte_identical_to_solo_faulted() {
-        use crate::fault::FaultPlan;
-        let mut device = small_device();
-        let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 53);
-        device.store_reference(&genome, 16).unwrap();
-        let plan = FaultPlan::paper_corner(17);
-        device.install_faults(&plan, 4);
-        let reads: Vec<asmcap_genome::PackedSeq> = (0..5)
-            .map(|i| asmcap_genome::PackedSeq::from_seq(&genome.window(i * 120..i * 120 + 64)))
-            .collect();
-        let mut rngs: Vec<_> = (0..5).map(|i| rng(700 + i)).collect();
-        let mut fault_rngs: Vec<_> = (0..5).map(|i| plan.read_fault_rng(700 + i)).collect();
-        let batched = device.search_packed_batch_with_faults(
-            &reads,
-            4,
-            MatchMode::EdStar,
-            &mut rngs,
-            &mut fault_rngs,
-        );
-        for (i, read) in reads.iter().enumerate() {
-            let solo = device.search_packed_with_faults(
-                read,
-                4,
-                MatchMode::EdStar,
-                &mut rng(700 + i as u64),
-                &mut plan.read_fault_rng(700 + i as u64),
-            );
-            assert_eq!(batched[i], solo, "faulted read {i} diverged");
-        }
-        // Masked with a full mask degenerates to the unmasked faulted walk.
-        let mask = RowMask::full(device.stored_rows());
-        for (i, read) in reads.iter().enumerate() {
-            let masked = device.search_packed_masked_with_faults(
-                read,
-                4,
-                MatchMode::EdStar,
-                &mask,
-                &mut rng(700 + i as u64),
-                &mut plan.read_fault_rng(700 + i as u64),
-            );
-            assert_eq!(batched[i], masked, "masked faulted read {i} diverged");
-        }
-        let masks: Vec<RowMask> = (0..5)
-            .map(|_| RowMask::full(device.stored_rows()))
-            .collect();
-        let mut rngs2: Vec<_> = (0..5).map(|i| rng(700 + i)).collect();
-        let mut fault_rngs2: Vec<_> = (0..5).map(|i| plan.read_fault_rng(700 + i)).collect();
-        assert_eq!(
-            device.search_packed_batch_masked_with_faults(
-                &reads,
-                4,
-                MatchMode::EdStar,
-                &masks,
-                &mut rngs2,
-                &mut fault_rngs2
-            ),
-            batched,
-        );
     }
 
     #[test]
@@ -1498,8 +1290,8 @@ mod tests {
         let genome = GenomeModel::uniform().generate(offset_len(10, 32, 32), 5);
         device.store_reference(&genome, 32).unwrap();
         let mut rng = rng(13);
-        let read = genome.window(0..32);
-        let result = device.search(read.as_slice(), 1, MatchMode::EdStar, &mut rng);
+        let read = packed(&genome.window(0..32));
+        let result = device.search(&read, 1, MatchMode::EdStar, None, &mut rng, None);
         assert!(result.matches.iter().any(|m| m.origin == 0));
     }
 }

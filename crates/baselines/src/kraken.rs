@@ -17,7 +17,6 @@ use std::collections::HashSet;
 
 /// Decision rule of the classifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KrakenMode {
     /// Read equals segment, base for base.
     Exact,

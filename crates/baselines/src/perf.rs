@@ -47,7 +47,6 @@ pub mod calib {
 
 /// The workload Fig. 8 is evaluated on.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Workload {
     /// Read length in bases (paper: 256).
     pub read_len: usize,

@@ -1,9 +1,11 @@
 //! Architecture-layer benchmarks: in-array search across array sizes and
-//! device-level search (the operation Fig. 8's throughput model counts).
+//! the device walk (the operation Fig. 8's throughput model counts), as a
+//! full scan and under a prefilter-sized row mask.
 
 use asmcap_arch::{CamArray, DeviceBuilder, MatchMode};
 use asmcap_bench::genome;
 use asmcap_circuit::rng;
+use asmcap_genome::PackedSeq;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -17,83 +19,22 @@ fn bench_array_search(c: &mut Criterion) {
                 .store_row(&reference.as_slice()[i * width..(i + 1) * width])
                 .unwrap();
         }
-        let read = reference.window(32..32 + width);
+        let read = PackedSeq::from_seq(&reference.window(32..32 + width));
         let mut r = rng(4);
         group.throughput(Throughput::Elements((rows * width) as u64));
-        group.bench_with_input(
-            BenchmarkId::new("ed_star", format!("{rows}x{width}")),
-            &rows,
-            |bencher, _| {
-                bencher.iter(|| {
-                    array.search(black_box(read.as_slice()), 8, MatchMode::EdStar, &mut r)
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("hamming", format!("{rows}x{width}")),
-            &rows,
-            |bencher, _| {
-                bencher.iter(|| {
-                    array.search(black_box(read.as_slice()), 8, MatchMode::Hamming, &mut r)
-                });
-            },
-        );
+        for (name, mode) in [
+            ("ed_star", MatchMode::EdStar),
+            ("hamming", MatchMode::Hamming),
+        ] {
+            group.bench_with_input(
+                BenchmarkId::new(name, format!("{rows}x{width}")),
+                &rows,
+                |bencher, _| {
+                    bencher.iter(|| array.search(black_box(&read), 8, mode, None, &mut r, None));
+                },
+            );
+        }
     }
-    group.finish();
-}
-
-/// One read at a time vs one batched device pass (sized so the packed row
-/// store — 16k × 256-base rows = 1 MiB — exceeds cache). Honest result on
-/// current hosts: the two are within a few percent of each other, because
-/// the software sense-amplifier model (an RNG draw per sensed row)
-/// dominates the row fetches the batch pass amortizes; the batch entry
-/// point's value is the pipelined-global-buffer modeling, the single-call
-/// batch surface with per-read RNG isolation, and the masked variant for
-/// prefiltered batches. Track both here so a future sense-model speedup
-/// shows when the balance tips.
-fn bench_device_batch_search(c: &mut Criterion) {
-    use asmcap_genome::PackedSeq;
-    let mut group = c.benchmark_group("device_batch_search");
-    group.sample_size(10);
-    let width = 256usize;
-    let arrays = 64usize;
-    let reference = genome(arrays * 256 + width - 1);
-    let mut device = DeviceBuilder::new()
-        .arrays(arrays)
-        .rows_per_array(256)
-        .row_width(width)
-        .build_asmcap();
-    device.store_reference(&reference, 1).unwrap();
-    let batch = 64usize;
-    let reads: Vec<PackedSeq> = (0..batch)
-        .map(|i| PackedSeq::from_seq(&reference.window(i * 17..i * 17 + width)))
-        .collect();
-    group.throughput(Throughput::Elements((device.stored_rows() * batch) as u64));
-    group.bench_function("sequential_64_reads", |bencher| {
-        bencher.iter(|| {
-            let mut rngs: Vec<_> = (0..batch as u64).map(rng).collect();
-            reads
-                .iter()
-                .zip(&mut rngs)
-                .map(|(read, r)| {
-                    device
-                        .search_packed(black_box(read), 8, MatchMode::EdStar, r)
-                        .matches
-                        .len()
-                })
-                .sum::<usize>()
-        });
-    });
-    group.bench_function("batched_64_reads", |bencher| {
-        bencher.iter(|| {
-            let mut rngs: Vec<_> = (0..batch as u64).map(rng).collect();
-            device
-                .search_packed_batch(black_box(&reads), 8, MatchMode::EdStar, &mut rngs)
-                .iter()
-                .map(|result| result.matches.len())
-                .sum::<usize>()
-        });
-    });
     group.finish();
 }
 
@@ -110,19 +51,30 @@ fn bench_device_search(c: &mut Criterion) {
         .row_width(width)
         .build_asmcap();
     device.store_reference(&reference, 1).unwrap();
-    let read = reference.window(1000..1000 + width);
+    let read = PackedSeq::from_seq(&reference.window(1000..1000 + width));
     let mut r = rng(5);
     group.throughput(Throughput::Elements(device.stored_rows() as u64));
     group.bench_function("asmcap_16_arrays_stride1", |bencher| {
-        bencher.iter(|| device.search(black_box(read.as_slice()), 8, MatchMode::EdStar, &mut r));
+        bencher.iter(|| device.search(black_box(&read), 8, MatchMode::EdStar, None, &mut r, None));
+    });
+    // A prefilter-sized shortlist: 64 candidate origins spread over every
+    // array, so the walk visits each array but senses 4 rows in each.
+    let origins: Vec<usize> = (0..64).map(|i| i * 64).collect();
+    let mask = device.mask_for_origins(&origins);
+    group.bench_function("asmcap_16_arrays_masked_64_rows", |bencher| {
+        bencher.iter(|| {
+            device.search(
+                black_box(&read),
+                8,
+                MatchMode::EdStar,
+                Some(&mask),
+                &mut r,
+                None,
+            )
+        });
     });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_array_search,
-    bench_device_batch_search,
-    bench_device_search
-);
+criterion_group!(benches, bench_array_search, bench_device_search);
 criterion_main!(benches);

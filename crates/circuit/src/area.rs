@@ -7,7 +7,6 @@ use crate::params::{AsmcapParams, EdamParams, HDAC_AREA_OVERHEAD, TASR_AREA_OVER
 /// §V-B: for a 256×256 array "the area and power are 1.58 mm² and 7.67 mW
 /// … more than 99 % of the area is occupied by the ASMCap cells".
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AreaBreakdown {
     /// Cell matrix area in mm².
     pub cells_mm2: f64,

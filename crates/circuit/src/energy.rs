@@ -18,7 +18,6 @@ use crate::params::{AsmcapParams, EdamParams};
 /// §V-B power breakdown of an ASMCap array: cells 75 %, shift registers
 /// 19 %, sense amplifiers 6 %.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerBreakdown {
     /// Power drawn by the ASMCap cells, in watts.
     pub cells_w: f64,

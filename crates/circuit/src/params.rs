@@ -7,7 +7,6 @@
 
 /// Parameters of the ASMCap charge-domain design (65 nm, Table I column 2).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AsmcapParams {
     /// Supply voltage in volts (Table I: 1.2 V).
     pub vdd: f64,
@@ -73,7 +72,6 @@ impl Default for AsmcapParams {
 
 /// Parameters of the EDAM current-domain baseline (65 nm, Table I column 1).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdamParams {
     /// Supply voltage in volts (Table I: 1.2 V).
     pub vdd: f64,

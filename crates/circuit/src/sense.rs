@@ -10,7 +10,6 @@ use crate::{MlCam, Rng};
 
 /// Where to place `V_ref` relative to the threshold state `T`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VrefPolicy {
     /// `V_ref = (T + ½)/N · V_DD`: centred between states `T` and `T + 1`,
     /// the engineering-correct placement that maximises noise margin on both

@@ -1,8 +1,8 @@
 //! Pluggable execution engines behind [`crate::AsmcapPipeline`].
 //!
-//! A [`MappingBackend`] turns one row-width read into candidate reference
+//! A [`MappingBackend`] turns row-width reads into candidate reference
 //! positions. The pipeline owns batching, sharding, statuses, and statistics;
-//! a backend only answers "where does this read match, and what did the
+//! a backend only answers "where does each read match, and what did the
 //! search cost". Three implementations ship:
 //!
 //! * [`DeviceBackend`] — the hardware-faithful path through the simulated
@@ -14,25 +14,24 @@
 //!   functional ground truth the hardware paths approximate.
 //!
 //! Backends take `&self` and a **per-read seed**: all mutable state (sensing
-//! RNG, rotation registers) is created per call, which is what lets
+//! RNG, rotation registers) is created per read, which is what lets
 //! [`crate::AsmcapPipeline::map_batch`] shard reads across threads while
 //! staying bit-identical to a sequential run.
 //!
 //! All three built-in backends run on the packed matchplane: the reference
 //! is 2-bit packed once at construction, reads arrive packed through
-//! [`MappingBackend::map_packed`], and every distance is computed by the
-//! word-parallel kernels in `asmcap-metrics` over zero-copy
+//! [`MappingBackend::map_batch_shortlisted`], and every distance is computed
+//! by the word-parallel kernels in `asmcap-metrics` over zero-copy
 //! [`asmcap_genome::SegmentView`]s — no per-segment re-slicing anywhere.
 //!
-//! They also all honour a prefilter shortlist
-//! ([`MappingBackend::map_shortlisted`]): when the pipeline's k-mer
-//! prefilter is on, only shortlisted segment starts reach the kernels —
-//! the software and pair paths skip unlisted segments outright, and the
-//! device path senses only the masked-in rows through
-//! [`asmcap_arch::AsmcapDevice::search_packed_masked`].
+//! They also all honour a read's prefilter shortlist: when the pipeline's
+//! k-mer prefilter is on, only shortlisted segment starts reach the
+//! kernels — the software and pair paths skip unlisted segments outright,
+//! and the device path senses only the masked-in rows through
+//! [`asmcap_arch::AsmcapDevice::search`].
 
-use crate::mapper::MapperConfig;
-use asmcap_arch::{AsmcapDevice, DeviceSearchResult, FaultPlan, MatchMode, RowId, RowMask};
+use crate::config::MapperConfig;
+use asmcap_arch::{AsmcapDevice, FaultPlan, MatchMode, RowId, RowMask};
 use asmcap_circuit::ChargeDomainCam;
 use asmcap_genome::{DnaSeq, PackedRef, PackedSeq};
 use asmcap_metrics::ed_star_packed;
@@ -60,17 +59,12 @@ pub struct BackendOutcome {
 
 /// One execution engine the pipeline can map reads through.
 ///
-/// Implementations must be `Send + Sync`: [`crate::AsmcapPipeline::map_batch`]
-/// calls [`MappingBackend::map_seeded`] concurrently from scoped worker
-/// threads. All randomness must derive from the passed `seed` so a read's
-/// result depends only on `(read, seed)`, never on which worker ran it.
-///
-/// [`MappingBackend::map_seeded`] is the required method, so a backend that
-/// implements nothing fails at compile time. Packed-native backends (all
-/// three built-ins) additionally override [`MappingBackend::map_packed`] —
-/// the entry point the pipeline calls — and implement `map_seeded` as a
-/// pack-and-forward one-liner; slice-based backends implement only
-/// `map_seeded` and inherit the unpacking default of `map_packed`.
+/// Implementations must be `Send + Sync`: the pipeline calls
+/// [`MappingBackend::map_batch_shortlisted`] concurrently from scoped
+/// worker threads, one executor tile per call. All randomness must derive
+/// from the passed seeds so a read's result depends only on
+/// `(read, seed, shortlist)`, never on which worker ran it or which reads
+/// shared its batch.
 pub trait MappingBackend: Send + Sync {
     /// Short display name for reports (e.g. `"device"`).
     fn name(&self) -> &'static str;
@@ -79,60 +73,17 @@ pub trait MappingBackend: Send + Sync {
     /// rejects other lengths before calling in).
     fn row_width(&self) -> usize;
 
-    /// Maps one row-width read with all randomness derived from `seed`.
+    /// Maps a batch of row-width reads — the one mapping entry point, which
+    /// [`crate::AsmcapPipeline`] drains each executor tile through and a
+    /// serving coalescer batches for.
     ///
-    /// # Panics
-    ///
-    /// Implementations panic if `read.len() != self.row_width()`.
-    fn map_seeded(&self, read: &DnaSeq, seed: u64) -> BackendOutcome;
-
-    /// [`MappingBackend::map_seeded`] over an already packed read — the
-    /// entry point the pipeline calls (it packs each read exactly once).
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `read.len() != self.row_width()`.
-    fn map_packed(&self, read: &PackedSeq, seed: u64) -> BackendOutcome {
-        self.map_seeded(&read.to_seq(), seed)
-    }
-
-    /// [`MappingBackend::map_packed`] restricted to a prefilter shortlist:
-    /// `candidates` holds segment start offsets (ascending, on the shared
-    /// [`segment_starts`] grid) and only those segments may be evaluated.
-    ///
-    /// The default ignores the shortlist and scans everything — always
-    /// correct, so custom backends keep compiling — while the three
-    /// built-ins override it: the software and pair paths iterate only the
-    /// shortlisted starts, and the device path senses only the masked-in
-    /// rows ([`asmcap_arch::AsmcapDevice::search_packed_masked`]). With
-    /// every stored start listed, each built-in is byte-identical to
-    /// [`MappingBackend::map_packed`], RNG draws included.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `read.len() != self.row_width()` or
-    /// `candidates` is not sorted ascending.
-    fn map_shortlisted(&self, read: &PackedSeq, seed: u64, candidates: &[usize]) -> BackendOutcome {
-        let _ = candidates;
-        self.map_packed(read, seed)
-    }
-
-    /// Maps a whole batch of row-width reads in one call — the entry point
-    /// [`crate::AsmcapPipeline::map_batch_packed`] drains each executor
-    /// tile through, and the surface a serving coalescer batches for.
-    ///
-    /// `shortlists[i]` is read `i`'s prefilter shortlist (`None` = full
-    /// scan — no prefilter armed, or its fallback fired). The contract is
-    /// **byte-identity with the per-read path**: `outcomes[i]` must equal
-    /// `map_packed(&reads[i], seeds[i])` when `shortlists[i]` is `None`
-    /// and `map_shortlisted(&reads[i], seeds[i], &shortlists[i])`
-    /// otherwise — positions, cycle/energy accounting, and RNG draw order
-    /// included. The default dispatches read-by-read (trivially
-    /// identical); [`DeviceBackend`] overrides it to issue each search
-    /// instruction once for the whole batch through
-    /// [`asmcap_arch::AsmcapDevice::search_packed_batch`] /
-    /// [`asmcap_arch::AsmcapDevice::search_packed_batch_masked`], whose
-    /// per-read byte-identity is pinned at the arch layer.
+    /// Read `i` is mapped with all randomness derived from `seeds[i]`.
+    /// `shortlists[i]` is its prefilter shortlist: `None` scans every
+    /// stored segment (no prefilter armed, or its fallback fired), and
+    /// `Some(starts)` — ascending, on the shared [`segment_starts`] grid —
+    /// evaluates only those segments. `outcomes[i]` must not depend on the
+    /// other reads in the batch; with every stored start listed, each
+    /// built-in is byte-identical to the full scan, RNG draws included.
     ///
     /// # Panics
     ///
@@ -144,27 +95,29 @@ pub trait MappingBackend: Send + Sync {
         reads: &[PackedSeq],
         seeds: &[u64],
         shortlists: &[Option<Vec<usize>>],
-    ) -> Vec<BackendOutcome> {
-        assert_eq!(reads.len(), seeds.len(), "one seed per batched read");
-        assert_eq!(
-            reads.len(),
-            shortlists.len(),
-            "one shortlist slot per batched read"
-        );
-        reads
-            .iter()
-            .zip(seeds)
-            .zip(shortlists)
-            .map(|((read, &seed), shortlist)| match shortlist {
-                None => self.map_packed(read, seed),
-                Some(candidates) => self.map_shortlisted(read, seed, candidates),
-            })
-            .collect()
-    }
+    ) -> Vec<BackendOutcome>;
 }
 
-pub(crate) fn collect(result: &DeviceSearchResult) -> BTreeMap<RowId, usize> {
-    result.matches.iter().map(|m| (m.id, m.n_mis)).collect()
+/// Maps a batch read by read through `map_one(read, seed, shortlist)`
+/// after checking its shape — the batch body every built-in shares.
+fn each_read(
+    reads: &[PackedSeq],
+    seeds: &[u64],
+    shortlists: &[Option<Vec<usize>>],
+    mut map_one: impl FnMut(&PackedSeq, u64, Option<&[usize]>) -> BackendOutcome,
+) -> Vec<BackendOutcome> {
+    assert_eq!(reads.len(), seeds.len(), "one seed per batched read");
+    assert_eq!(
+        reads.len(),
+        shortlists.len(),
+        "one shortlist slot per batched read"
+    );
+    reads
+        .iter()
+        .zip(seeds)
+        .zip(shortlists)
+        .map(|((read, &seed), shortlist)| map_one(read, seed, shortlist.as_deref()))
+        .collect()
 }
 
 /// The segment start offsets a `width`-row backend stores for `reference`
@@ -228,12 +181,6 @@ impl DeviceBackend {
         self.fault = plan.is_active().then(|| plan.clone());
     }
 
-    /// The armed fault plan, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
     /// Quarantined rows across the device (0 without faults).
     #[must_use]
     pub fn quarantined_rows(&self) -> usize {
@@ -252,36 +199,9 @@ impl DeviceBackend {
         &self.config
     }
 
-    /// One device search, full or row-masked, optionally through the
-    /// installed fault model (the caller threads one fault stream per
-    /// read across all of that read's searches).
-    fn search(
-        &self,
-        read: &PackedSeq,
-        threshold: usize,
-        mode: MatchMode,
-        mask: Option<&RowMask>,
-        rng: &mut crate::Rng,
-        fault_rng: Option<&mut crate::Rng>,
-    ) -> DeviceSearchResult {
-        match (mask, fault_rng) {
-            (Some(mask), Some(fault_rng)) => self
-                .device
-                .search_packed_masked_with_faults(read, threshold, mode, mask, rng, fault_rng),
-            (Some(mask), None) => self
-                .device
-                .search_packed_masked(read, threshold, mode, mask, rng),
-            (None, Some(fault_rng)) => self
-                .device
-                .search_packed_with_faults(read, threshold, mode, rng, fault_rng),
-            (None, None) => self.device.search_packed(read, threshold, mode, rng),
-        }
-    }
-
-    /// The shared body of [`MappingBackend::map_packed`] (no mask) and
-    /// [`MappingBackend::map_shortlisted`] (shortlist mask): identical
-    /// instruction sequencing either way, so the unmasked call stays
-    /// byte-identical to the pre-prefilter path.
+    /// Maps one read: the ED\* search, then HDAC's HD-mode search, then
+    /// TASR's rotated searches, each one device search under `mask`
+    /// (`None` = every stored row).
     fn run(&self, read: &PackedSeq, seed: u64, mask: Option<&RowMask>) -> BackendOutcome {
         assert_eq!(
             read.len(),
@@ -289,49 +209,33 @@ impl DeviceBackend {
             "read must match the row width"
         );
         let t = self.config.threshold;
-        // Same split as the deprecated `ReadMapper`: one stream for sensing
-        // noise, one for the host-side HDAC draw. Fault injection adds a
-        // third, dedicated stream so the first two keep their draw order.
+        // One stream for sensing noise, one for the host-side HDAC draw.
+        // Fault injection adds a third, dedicated stream so the first two
+        // keep their draw order.
         let mut sense_rng = crate::rng(seed);
         let mut host_rng = crate::rng(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
         let mut fault_rng = self.fault.as_ref().map(|plan| plan.read_fault_rng(seed));
-        let mut searches = 0u64;
-        let mut energy = 0.0f64;
-        let mut resensed = 0u64;
-        let mut requarried = 0u64;
+        let mut outcome = BackendOutcome::default();
+        let mut search = |read: &PackedSeq, mode: MatchMode| -> BTreeMap<RowId, usize> {
+            let result =
+                self.device
+                    .search(read, t, mode, mask, &mut sense_rng, fault_rng.as_mut());
+            outcome.searches += 1;
+            outcome.energy_j += result.stats.energy_j;
+            outcome.resensed += result.stats.resensed;
+            outcome.requarried += result.stats.requarried;
+            result.matches.iter().map(|m| (m.id, m.n_mis)).collect()
+        };
 
         // Cycle 1 (after the latch): the ED* search.
-        let base = self.search(
-            read,
-            t,
-            MatchMode::EdStar,
-            mask,
-            &mut sense_rng,
-            fault_rng.as_mut(),
-        );
-        searches += 1;
-        energy += base.stats.energy_j;
-        resensed += base.stats.resensed;
-        requarried += base.stats.requarried;
-        let mut matched: BTreeMap<RowId, usize> = collect(&base);
+        let mut matched = search(read, MatchMode::EdStar);
 
         // HDAC: one HD-mode search, one host-side draw for the result MUX.
         if let Some(hdac) = self.config.hdac {
             if hdac.enabled(&self.config.profile, t) {
-                let hd = self.search(
-                    read,
-                    t,
-                    MatchMode::Hamming,
-                    mask,
-                    &mut sense_rng,
-                    fault_rng.as_mut(),
-                );
-                searches += 1;
-                energy += hd.stats.energy_j;
-                resensed += hd.stats.resensed;
-                requarried += hd.stats.requarried;
+                let hd = search(read, MatchMode::Hamming);
                 if host_rng.gen::<f64>() < hdac.probability(&self.config.profile, t) {
-                    matched = collect(&hd);
+                    matched = hd;
                 }
             }
         }
@@ -342,20 +246,8 @@ impl DeviceBackend {
         if let Some(tasr) = self.config.tasr {
             if tasr.active(&self.config.profile, read.len(), t) {
                 for i in 1..=tasr.rotations {
-                    let rotated_read = tasr.schedule.rotated_packed(read, i);
-                    let rotated = self.search(
-                        &rotated_read,
-                        t,
-                        MatchMode::EdStar,
-                        mask,
-                        &mut sense_rng,
-                        fault_rng.as_mut(),
-                    );
-                    searches += 1;
-                    energy += rotated.stats.energy_j;
-                    resensed += rotated.stats.resensed;
-                    requarried += rotated.stats.requarried;
-                    for (id, n_mis) in collect(&rotated) {
+                    let rotated = search(&tasr.schedule.rotated_packed(read, i), MatchMode::EdStar);
+                    for (id, n_mis) in rotated {
                         matched.entry(id).or_insert(n_mis);
                     }
                 }
@@ -368,151 +260,9 @@ impl DeviceBackend {
             .collect();
         positions.sort_unstable();
         positions.dedup();
-        BackendOutcome {
-            positions,
-            cycles: 1 + searches,
-            searches,
-            energy_j: energy,
-            resensed,
-            requarried,
-        }
-    }
-
-    /// The shared body of the batch dispatch: the same ED\* → HDAC → TASR
-    /// instruction sequencing as [`DeviceBackend::run`], but each stage
-    /// drains the **whole read queue** through one of the device's batch
-    /// entry points (array-major for full scans, a per-read row-list walk
-    /// under masks). Read `i` draws all sensing noise from its own
-    /// seed-derived streams in exactly the order the per-read path would,
-    /// so `outcomes[i]` is byte-identical to `run(&reads[i], seeds[i], …)`
-    /// (pinned by `tests/packed_equivalence.rs` and the arch-layer batch
-    /// equivalence tests).
-    fn run_batch(
-        &self,
-        reads: &[PackedSeq],
-        seeds: &[u64],
-        masks: Option<&[RowMask]>,
-    ) -> Vec<BackendOutcome> {
-        let t = self.config.threshold;
-        // Same stream split as `run`: one sensing stream and one host-side
-        // HDAC stream per read, plus one dedicated fault stream per read
-        // when a fault plan is armed.
-        let mut sense_rngs: Vec<crate::Rng> = seeds.iter().map(|&s| crate::rng(s)).collect();
-        let mut host_rngs: Vec<crate::Rng> = seeds
-            .iter()
-            .map(|&s| crate::rng(s.wrapping_mul(0x9E37_79B9).wrapping_add(1)))
-            .collect();
-        let mut fault_rngs: Option<Vec<crate::Rng>> = self
-            .fault
-            .as_ref()
-            .map(|plan| seeds.iter().map(|&s| plan.read_fault_rng(s)).collect());
-        let search_batch = |queue: &[PackedSeq],
-                            mode: MatchMode,
-                            rngs: &mut [crate::Rng],
-                            fault_rngs: Option<&mut [crate::Rng]>| {
-            match (masks, fault_rngs) {
-                (Some(masks), Some(fault_rngs)) => {
-                    self.device.search_packed_batch_masked_with_faults(
-                        queue, t, mode, masks, rngs, fault_rngs,
-                    )
-                }
-                (Some(masks), None) => self
-                    .device
-                    .search_packed_batch_masked(queue, t, mode, masks, rngs),
-                (None, Some(fault_rngs)) => self
-                    .device
-                    .search_packed_batch_with_faults(queue, t, mode, rngs, fault_rngs),
-                (None, None) => self.device.search_packed_batch(queue, t, mode, rngs),
-            }
-        };
-
-        // Cycle 1 (after the latch): the ED* search, whole queue at once.
-        let base = search_batch(
-            reads,
-            MatchMode::EdStar,
-            &mut sense_rngs,
-            fault_rngs.as_deref_mut(),
-        );
-        let mut searches: Vec<u64> = vec![1; reads.len()];
-        let mut energy: Vec<f64> = base.iter().map(|r| r.stats.energy_j).collect();
-        let mut resensed: Vec<u64> = base.iter().map(|r| r.stats.resensed).collect();
-        let mut requarried: Vec<u64> = base.iter().map(|r| r.stats.requarried).collect();
-        let mut matched: Vec<BTreeMap<RowId, usize>> = base.iter().map(collect).collect();
-
-        // HDAC: one batched HD-mode search, one host-side draw per read.
-        if let Some(hdac) = self.config.hdac {
-            if hdac.enabled(&self.config.profile, t) {
-                let hd = search_batch(
-                    reads,
-                    MatchMode::Hamming,
-                    &mut sense_rngs,
-                    fault_rngs.as_deref_mut(),
-                );
-                let p = hdac.probability(&self.config.profile, t);
-                for (i, result) in hd.iter().enumerate() {
-                    searches[i] += 1;
-                    energy[i] += result.stats.energy_j;
-                    resensed[i] += result.stats.resensed;
-                    requarried[i] += result.stats.requarried;
-                    if host_rngs[i].gen::<f64>() < p {
-                        matched[i] = collect(result);
-                    }
-                }
-            }
-        }
-
-        // TASR: each rotation is one batched ED* search over the rotated
-        // queue, OR-ed into each read's result set.
-        if let Some(tasr) = self.config.tasr {
-            if tasr.active(&self.config.profile, self.row_width(), t) {
-                for amount in 1..=tasr.rotations {
-                    let rotated: Vec<PackedSeq> = reads
-                        .iter()
-                        .map(|read| tasr.schedule.rotated_packed(read, amount))
-                        .collect();
-                    let results = search_batch(
-                        &rotated,
-                        MatchMode::EdStar,
-                        &mut sense_rngs,
-                        fault_rngs.as_deref_mut(),
-                    );
-                    for (i, result) in results.iter().enumerate() {
-                        searches[i] += 1;
-                        energy[i] += result.stats.energy_j;
-                        resensed[i] += result.stats.resensed;
-                        requarried[i] += result.stats.requarried;
-                        for (id, n_mis) in collect(result) {
-                            matched[i].entry(id).or_insert(n_mis);
-                        }
-                    }
-                }
-            }
-        }
-
-        matched
-            .into_iter()
-            .zip(searches)
-            .zip(energy)
-            .zip(resensed.into_iter().zip(requarried))
-            .map(
-                |(((matched, searches), energy_j), (resensed, requarried))| {
-                    let mut positions: Vec<usize> = matched
-                        .keys()
-                        .filter_map(|&id| self.device.origin_of(id))
-                        .collect();
-                    positions.sort_unstable();
-                    positions.dedup();
-                    BackendOutcome {
-                        positions,
-                        cycles: 1 + searches,
-                        searches,
-                        energy_j,
-                        resensed,
-                        requarried,
-                    }
-                },
-            )
-            .collect()
+        outcome.positions = positions;
+        outcome.cycles = 1 + outcome.searches;
+        outcome
     }
 }
 
@@ -525,58 +275,16 @@ impl MappingBackend for DeviceBackend {
         self.device.row_width()
     }
 
-    fn map_seeded(&self, read: &DnaSeq, seed: u64) -> BackendOutcome {
-        self.map_packed(&PackedSeq::from_seq(read), seed)
-    }
-
-    fn map_packed(&self, read: &PackedSeq, seed: u64) -> BackendOutcome {
-        self.run(read, seed, None)
-    }
-
-    fn map_shortlisted(&self, read: &PackedSeq, seed: u64, candidates: &[usize]) -> BackendOutcome {
-        let mask = self.device.mask_for_origins(candidates);
-        self.run(read, seed, Some(&mask))
-    }
-
-    /// The batch dispatch the issue of serving builds on: an all-full-scan
-    /// queue drains unmasked ([`asmcap_arch::AsmcapDevice::search_packed_batch`]);
-    /// any shortlisted read switches the queue to the masked drain, with
-    /// full-scan reads carrying [`RowMask::full`] (pinned byte-identical
-    /// to the unmasked search at the arch layer).
     fn map_batch_shortlisted(
         &self,
         reads: &[PackedSeq],
         seeds: &[u64],
         shortlists: &[Option<Vec<usize>>],
     ) -> Vec<BackendOutcome> {
-        assert_eq!(reads.len(), seeds.len(), "one seed per batched read");
-        assert_eq!(
-            reads.len(),
-            shortlists.len(),
-            "one shortlist slot per batched read"
-        );
-        for read in reads {
-            assert_eq!(
-                read.len(),
-                self.row_width(),
-                "read must match the row width"
-            );
-        }
-        if reads.is_empty() {
-            return Vec::new();
-        }
-        if shortlists.iter().all(Option::is_none) {
-            self.run_batch(reads, seeds, None)
-        } else {
-            let masks: Vec<RowMask> = shortlists
-                .iter()
-                .map(|shortlist| match shortlist {
-                    None => RowMask::full(self.device.stored_rows()),
-                    Some(candidates) => self.device.mask_for_origins(candidates),
-                })
-                .collect();
-            self.run_batch(reads, seeds, Some(&masks))
-        }
+        each_read(reads, seeds, shortlists, |read, seed, shortlist| {
+            let mask = shortlist.map(|candidates| self.device.mask_for_origins(candidates));
+            self.run(read, seed, mask.as_ref())
+        })
     }
 }
 
@@ -625,6 +333,8 @@ impl PairBackend {
     /// prefilter shortlist).
     fn run(&self, read: &PackedSeq, seed: u64, starts: &[usize]) -> BackendOutcome {
         assert_eq!(read.len(), self.width, "read must match the row width");
+        // lint: index-ok — windows(2) yields exactly two elements per pair
+        debug_assert!(starts.windows(2).all(|pair| pair[0] < pair[1]));
         let mut builder = crate::config::AsmcapConfig::new(self.config.profile);
         builder
             .hdac(self.config.hdac)
@@ -661,18 +371,15 @@ impl MappingBackend for PairBackend {
         self.width
     }
 
-    fn map_seeded(&self, read: &DnaSeq, seed: u64) -> BackendOutcome {
-        self.map_packed(&PackedSeq::from_seq(read), seed)
-    }
-
-    fn map_packed(&self, read: &PackedSeq, seed: u64) -> BackendOutcome {
-        self.run(read, seed, &self.starts)
-    }
-
-    fn map_shortlisted(&self, read: &PackedSeq, seed: u64, candidates: &[usize]) -> BackendOutcome {
-        // lint: index-ok — windows(2) yields exactly two elements per pair
-        debug_assert!(candidates.windows(2).all(|pair| pair[0] < pair[1]));
-        self.run(read, seed, candidates)
+    fn map_batch_shortlisted(
+        &self,
+        reads: &[PackedSeq],
+        seeds: &[u64],
+        shortlists: &[Option<Vec<usize>>],
+    ) -> Vec<BackendOutcome> {
+        each_read(reads, seeds, shortlists, |read, seed, shortlist| {
+            self.run(read, seed, shortlist.unwrap_or(&self.starts))
+        })
     }
 }
 
@@ -712,6 +419,8 @@ impl SoftwareBackend {
     /// prefilter shortlist).
     fn run(&self, read: &PackedSeq, starts: &[usize]) -> BackendOutcome {
         assert_eq!(read.len(), self.width, "read must match the row width");
+        // lint: index-ok — windows(2) yields exactly two elements per pair
+        debug_assert!(starts.windows(2).all(|pair| pair[0] < pair[1]));
         let positions = starts
             .iter()
             .copied()
@@ -738,23 +447,15 @@ impl MappingBackend for SoftwareBackend {
         self.width
     }
 
-    fn map_seeded(&self, read: &DnaSeq, seed: u64) -> BackendOutcome {
-        self.map_packed(&PackedSeq::from_seq(read), seed)
-    }
-
-    fn map_packed(&self, read: &PackedSeq, _seed: u64) -> BackendOutcome {
-        self.run(read, &self.starts)
-    }
-
-    fn map_shortlisted(
+    fn map_batch_shortlisted(
         &self,
-        read: &PackedSeq,
-        _seed: u64,
-        candidates: &[usize],
-    ) -> BackendOutcome {
-        // lint: index-ok — windows(2) yields exactly two elements per pair
-        debug_assert!(candidates.windows(2).all(|pair| pair[0] < pair[1]));
-        self.run(read, candidates)
+        reads: &[PackedSeq],
+        seeds: &[u64],
+        shortlists: &[Option<Vec<usize>>],
+    ) -> Vec<BackendOutcome> {
+        each_read(reads, seeds, shortlists, |read, _seed, shortlist| {
+            self.run(read, shortlist.unwrap_or(&self.starts))
+        })
     }
 }
 
@@ -762,7 +463,7 @@ impl MappingBackend for SoftwareBackend {
 mod tests {
     use super::*;
     use asmcap_arch::DeviceBuilder;
-    use asmcap_genome::GenomeModel;
+    use asmcap_genome::{ErrorProfile, GenomeModel, ReadSampler};
     use asmcap_metrics::ed_star;
 
     fn device_for(genome: &DnaSeq, width: usize, stride: usize) -> AsmcapDevice<ChargeDomainCam> {
@@ -776,16 +477,105 @@ mod tests {
         device
     }
 
+    /// One read's full scan through the batch entry point.
+    fn map_one(backend: &dyn MappingBackend, read: &DnaSeq, seed: u64) -> BackendOutcome {
+        backend
+            .map_batch_shortlisted(&[PackedSeq::from_seq(read)], &[seed], &[None])
+            .remove(0)
+    }
+
     #[test]
     fn device_backend_is_seed_deterministic() {
         let genome = GenomeModel::uniform().generate(2_048, 11);
         let backend = DeviceBackend::new(device_for(&genome, 64, 1), MapperConfig::plain(2));
         let read = genome.window(500..564);
-        let a = backend.map_seeded(&read, 42);
-        let b = backend.map_seeded(&read, 42);
+        let a = map_one(&backend, &read, 42);
+        let b = map_one(&backend, &read, 42);
         assert_eq!(a, b);
         assert!(a.positions.contains(&500));
         assert_eq!(a.cycles, 2); // latch + ED* search
+    }
+
+    #[test]
+    fn exact_read_maps_to_its_origin() {
+        let genome = GenomeModel::uniform().generate(4096, 31);
+        let backend = DeviceBackend::new(device_for(&genome, 64, 1), MapperConfig::plain(0));
+        let mapped = map_one(&backend, &genome.window(777..841), 1);
+        // With stride-1 storage the rows at ±1 are one-shift windows of the
+        // read, which ED*'s neighbor tolerance can legitimately accept (the
+        // false-positive mode of paper Fig. 2c that HDAC corrects); plain
+        // ED* must still report the true origin, and nothing further away.
+        assert!(mapped.positions.contains(&777), "origin 777 not mapped");
+        assert!(
+            mapped.positions.iter().all(|&p| p.abs_diff(777) <= 1),
+            "plain ED* matched beyond one-shift neighbors: {:?}",
+            mapped.positions
+        );
+        assert_eq!(mapped.cycles, 2); // latch + search
+    }
+
+    #[test]
+    fn erroneous_read_maps_with_paper_config() {
+        let genome = GenomeModel::uniform().generate(8192, 32);
+        let profile = ErrorProfile::condition_a();
+        let backend =
+            DeviceBackend::new(device_for(&genome, 256, 1), MapperConfig::paper(8, profile));
+        let sampler = ReadSampler::new(256, profile);
+        let read = sampler.sample_at(&genome, 1000, &mut asmcap_genome::rng(5));
+        let mapped = map_one(&backend, &read.bases, 2);
+        assert!(
+            mapped.positions.contains(&1000),
+            "expected origin 1000 among {:?}",
+            mapped.positions
+        );
+    }
+
+    #[test]
+    fn hdac_spends_its_cycle_only_when_armed() {
+        let genome = GenomeModel::uniform().generate(2048, 33);
+        let read = genome.window(0..256);
+        // T=1: HDAC armed in Condition A; TASR gated off (T_l = 52).
+        let backend = DeviceBackend::new(
+            device_for(&genome, 256, 256),
+            MapperConfig::paper(1, ErrorProfile::condition_a()),
+        );
+        assert_eq!(map_one(&backend, &read, 3).searches, 2); // ED* + HD
+
+        // Condition B: HDAC disabled, T=8 >= T_l=6 arms TASR (2 rotations).
+        let backend = DeviceBackend::new(
+            device_for(&genome, 256, 256),
+            MapperConfig::paper(8, ErrorProfile::condition_b()),
+        );
+        assert_eq!(map_one(&backend, &read, 4).searches, 3); // ED* + 2 rotated
+    }
+
+    #[test]
+    fn tasr_recovers_shifted_reads_on_device() {
+        let genome = GenomeModel::uniform().generate(4096, 34);
+        let width = 256usize;
+        // Read with two consecutive deletions at its origin 500.
+        let mut bases = genome.window(500..500 + width).into_bases();
+        bases.drain(30..32);
+        bases.extend_from_slice(&genome.as_slice()[500 + width..500 + width + 2]);
+        let read = DnaSeq::from_bases(bases);
+
+        let plain = DeviceBackend::new(device_for(&genome, width, 1), MapperConfig::plain(8));
+        let without = map_one(&plain, &read, 5);
+        let with = DeviceBackend::new(
+            device_for(&genome, width, 1),
+            MapperConfig::paper(8, ErrorProfile::condition_b()),
+        );
+        let recovered = map_one(&with, &read, 6);
+
+        assert!(
+            !without.positions.contains(&500),
+            "plain ED* should miss the shifted read"
+        );
+        assert!(
+            recovered.positions.contains(&500),
+            "TASR should recover origin 500, got {:?}",
+            recovered.positions
+        );
     }
 
     #[test]
@@ -793,7 +583,7 @@ mod tests {
         let genome = GenomeModel::uniform().generate(1_024, 12);
         let backend = SoftwareBackend::new(genome.clone(), 1, 64, 0);
         let read = genome.window(100..164);
-        let out = backend.map_seeded(&read, 0);
+        let out = map_one(&backend, &read, 0);
         assert!(out.positions.contains(&100));
         for &p in &out.positions {
             assert!(ed_star(genome.window(p..p + 64).as_slice(), read.as_slice()) == 0);
@@ -806,7 +596,7 @@ mod tests {
         let backend = PairBackend::new(genome.clone(), 1, 64, MapperConfig::plain(2));
         assert_eq!(backend.segments(), 1_024 - 64 + 1);
         let read = genome.window(300..364);
-        let out = backend.map_seeded(&read, 7);
+        let out = map_one(&backend, &read, 7);
         assert!(out.positions.contains(&300));
         assert_eq!(out.energy_j, 0.0);
         assert!(out.cycles >= 2);

@@ -1,4 +1,5 @@
-//! Builders for the ASMCap and EDAM engines.
+//! Builders for the ASMCap and EDAM engines, and the per-read matching
+//! configuration the mapping backends share.
 
 use crate::engine::{AsmcapEngine, EdamEngine};
 use crate::hdac::{Hdac, HdacParams};
@@ -156,6 +157,44 @@ impl EdamConfig {
 impl Default for EdamConfig {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The per-read matching configuration every mapping backend shares:
+/// the threshold and which correction strategies run.
+#[derive(Debug, Clone)]
+pub struct MapperConfig {
+    /// Edit-distance threshold `T`.
+    pub threshold: usize,
+    /// Expected error profile (parameterises HDAC and TASR).
+    pub profile: ErrorProfile,
+    /// HDAC parameters, or `None` to disable.
+    pub hdac: Option<HdacParams>,
+    /// TASR parameters, or `None` to disable.
+    pub tasr: Option<TasrParams>,
+}
+
+impl MapperConfig {
+    /// The paper's full configuration at a given threshold.
+    #[must_use]
+    pub fn paper(threshold: usize, profile: ErrorProfile) -> Self {
+        Self {
+            threshold,
+            profile,
+            hdac: Some(HdacParams::paper()),
+            tasr: Some(TasrParams::paper()),
+        }
+    }
+
+    /// Plain ED\* matching at a given threshold (no strategies).
+    #[must_use]
+    pub fn plain(threshold: usize) -> Self {
+        Self {
+            threshold,
+            profile: ErrorProfile::error_free(),
+            hdac: None,
+            tasr: None,
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! models, and the HDAC/TASR correction strategies — but without
 //! materialising a full array, which makes it the right tool for the Fig. 7
 //! accuracy sweeps (hundreds of thousands of pair decisions). The
-//! array-level path with identical semantics lives in [`crate::mapper`].
+//! array-level path with identical semantics is [`crate::DeviceBackend`].
 
 use crate::hdac::Hdac;
 use crate::matcher::{AsmMatcher, MatchOutcome};

@@ -40,7 +40,6 @@ use rand::Rng as _;
 /// assert!(!params.enabled(&b, 2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HdacParams {
     /// Indel back-off constant `α` (paper: 200).
     pub alpha: f64,

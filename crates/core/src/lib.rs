@@ -58,9 +58,8 @@
 //! [`LongReadMapper`], which fragments them over a pipeline and votes.
 //!
 //! The lower layers remain public for evaluation code: [`matcher`] (the
-//! [`AsmMatcher`] trait and reference matchers), [`engine`]
-//! ([`AsmcapEngine`] / [`EdamEngine`] per-pair engines), and the deprecated
-//! device-level [`mapper::ReadMapper`] shim the pipeline replaces.
+//! [`AsmMatcher`] trait and reference matchers) and [`engine`]
+//! ([`AsmcapEngine`] / [`EdamEngine`] per-pair engines).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,7 +71,6 @@ pub mod executor;
 pub mod extension;
 pub mod fragment;
 pub mod hdac;
-pub mod mapper;
 pub mod matcher;
 pub mod pipeline;
 pub mod tasr;
@@ -81,12 +79,11 @@ pub use backend::{
     segment_count, segment_starts, BackendOutcome, DeviceBackend, MappingBackend, PairBackend,
     SoftwareBackend,
 };
-pub use config::{AsmcapConfig, EdamConfig};
+pub use config::{AsmcapConfig, EdamConfig, MapperConfig};
 pub use engine::{AsmcapEngine, EdamEngine};
 pub use extension::ExtensionConfig;
 pub use fragment::{FragmentConfig, LongReadMapper, LongReadMapping};
 pub use hdac::{Hdac, HdacParams};
-pub use mapper::{MappedRead, MapperConfig};
 pub use matcher::{AsmMatcher, ExactEdMatcher, MatchOutcome, NoiselessEdStarMatcher};
 pub use pipeline::{
     read_seed, AsmcapPipeline, BackendKind, MapRecord, MapStatus, PipelineBuilder, PipelineConfig,
@@ -107,9 +104,6 @@ pub use asmcap_genome::{PrefilterConfig, PrefilterError, PrefilterIndex, Shortli
 // artefact, like the distances); re-exported here because `MapRecord`
 // embeds them when the extension stage is armed.
 pub use asmcap_metrics::{Alignment, Cigar};
-
-#[allow(deprecated)]
-pub use mapper::ReadMapper;
 
 /// Deterministic RNG shared across the workspace (ChaCha8).
 pub type Rng = asmcap_circuit::Rng;

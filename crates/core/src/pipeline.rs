@@ -44,10 +44,10 @@
 //! # Ok::<(), asmcap::PipelineError>(())
 //! ```
 
-use crate::backend::{BackendOutcome, DeviceBackend, MappingBackend, PairBackend, SoftwareBackend};
+use crate::backend::{DeviceBackend, MappingBackend, PairBackend, SoftwareBackend};
+use crate::config::MapperConfig;
 use crate::extension::{ExtensionConfig, ExtensionStage};
 use crate::hdac::HdacParams;
-use crate::mapper::MapperConfig;
 use crate::tasr::TasrParams;
 use asmcap_arch::{DeviceBuilder, FaultPlan};
 use asmcap_genome::{
@@ -795,37 +795,14 @@ impl AsmcapPipeline {
         *self.stats.lock().expect("stats lock poisoned") = PipelineStats::default();
     }
 
-    /// Read `read`'s prefilter shortlist, or `None` for a full scan (no
-    /// prefilter armed, or the shortlist's fallback fired) — the one
-    /// shortlist rule the per-read and batch dispatch paths share.
-    fn shortlist_for(&self, read: &PackedSeq) -> Option<Vec<usize>> {
-        self.prefilter.as_ref().and_then(|prefilter| {
-            let shortlist = prefilter.shortlist(read);
-            if shortlist.is_full_scan() {
-                None
-            } else {
-                Some(shortlist.starts_ascending())
-            }
-        })
-    }
-
-    /// The per-read backend dispatch: full scan when no prefilter is
-    /// armed (or when the shortlist's fallback fires), shortlist-only
-    /// otherwise. `read` is already exactly one row wide here.
-    fn dispatch(&self, read: &PackedSeq, seed: u64) -> BackendOutcome {
-        match self.shortlist_for(read) {
-            None => self.backend.map_packed(read, seed),
-            Some(candidates) => self.backend.map_shortlisted(read, seed, &candidates),
-        }
-    }
-
-    /// Maps one executor tile through the backend's batch entry point
-    /// ([`MappingBackend::map_batch_shortlisted`]): statuses and truncation
-    /// are resolved here, shortlists are computed per read, and the
-    /// searchable remainder drains through the backend in one call — on
-    /// the device backend, one batched device search per instruction.
-    /// Byte-identical to mapping each read through [`AsmcapPipeline::map`]
-    /// (pinned by `tests/packed_equivalence.rs` / `tests/pipeline_api.rs`).
+    /// Maps one executor tile — the pipeline's only per-read dispatch.
+    /// Statuses and truncation are resolved here, and each searchable
+    /// read gets its prefilter shortlist (`None` = full scan: no prefilter
+    /// armed, or the shortlist's fallback fired). The searchable remainder
+    /// drains through [`MappingBackend::map_batch_shortlisted`] in one
+    /// call. A record depends only on its read and index, never on the
+    /// tile it shared (pinned by `tests/packed_equivalence.rs` /
+    /// `tests/pipeline_api.rs`).
     fn map_tile(&self, reads: &[PackedSeq], indices: &[u64]) -> Vec<MapRecord> {
         debug_assert_eq!(reads.len(), indices.len());
         let mut searchable: Vec<PackedSeq> = Vec::with_capacity(reads.len());
@@ -845,7 +822,10 @@ impl AsmcapPipeline {
                 read.clone()
             };
             seeds.push(read_seed(self.seed, index));
-            shortlists.push(self.shortlist_for(&query));
+            shortlists.push(self.prefilter.as_ref().and_then(|prefilter| {
+                let shortlist = prefilter.shortlist(&query);
+                (!shortlist.is_full_scan()).then(|| shortlist.starts_ascending())
+            }));
             searchable.push(query);
             searched.push(true);
         }
@@ -907,51 +887,6 @@ impl AsmcapPipeline {
             .collect()
     }
 
-    fn map_indexed(&self, read: &PackedSeq, index: u64) -> MapRecord {
-        if read.len() < self.width {
-            return MapRecord {
-                index,
-                status: MapStatus::Rejected,
-                positions: Vec::new(),
-                cycles: 0,
-                searches: 0,
-                energy_j: 0.0,
-                alignment: None,
-                resensed: 0,
-                requarried: 0,
-                degraded: false,
-            };
-        }
-        let truncated = read.len() > self.width;
-        let seed = read_seed(self.seed, index);
-        let prefix = (read.len() > self.width).then(|| read.window(0..self.width));
-        let query: &PackedSeq = prefix.as_ref().unwrap_or(read);
-        let outcome: BackendOutcome = self.dispatch(query, seed);
-        let status = if truncated {
-            MapStatus::Truncated
-        } else if outcome.positions.is_empty() {
-            MapStatus::Unmapped
-        } else {
-            MapStatus::Mapped
-        };
-        let alignment = self
-            .extension
-            .as_ref()
-            .and_then(|stage| stage.extend(query, &outcome.positions));
-        MapRecord {
-            index,
-            status,
-            positions: outcome.positions,
-            cycles: outcome.cycles,
-            searches: outcome.searches,
-            energy_j: outcome.energy_j,
-            alignment,
-            resensed: outcome.resensed,
-            requarried: outcome.requarried,
-            degraded: outcome.resensed + outcome.requarried > 0,
-        }
-    }
-
     /// Maps one read.
     ///
     /// Reads longer than the row width are truncated to it (status
@@ -973,7 +908,10 @@ impl AsmcapPipeline {
         let start = Instant::now();
         // lint: relaxed-ok — a fresh-index ticket; no memory is published.
         let index = self.counter.fetch_add(1, Ordering::Relaxed);
-        let record = self.map_indexed(read, index);
+        let record = self
+            .map_tile(std::slice::from_ref(read), &[index])
+            .pop()
+            .expect("a tile of one read yields one record");
         let mut stats = self.stats.lock().expect("stats lock poisoned");
         stats.absorb(&record);
         stats.wall_s += start.elapsed().as_secs_f64();
@@ -1001,13 +939,9 @@ impl AsmcapPipeline {
     }
 
     /// [`AsmcapPipeline::map_batch`] over already packed reads. Each
-    /// executor tile drains through the backend's batch entry point
-    /// ([`MappingBackend::map_batch_shortlisted`]), so on the device
-    /// backend a whole tile's searches run through
-    /// [`asmcap_arch::AsmcapDevice::search_packed_batch`] (full scans) or
-    /// [`asmcap_arch::AsmcapDevice::search_packed_batch_masked`]
-    /// (shortlists) — and the records stay byte-identical to per-read
-    /// dispatch.
+    /// executor tile drains through the backend's one entry point
+    /// ([`MappingBackend::map_batch_shortlisted`]), and the records stay
+    /// byte-identical to mapping each read on its own.
     ///
     /// # Panics
     ///
@@ -1257,14 +1191,20 @@ mod tests {
             fn row_width(&self) -> usize {
                 64
             }
-            fn map_seeded(&self, _read: &DnaSeq, _seed: u64) -> BackendOutcome {
-                BackendOutcome {
+            fn map_batch_shortlisted(
+                &self,
+                reads: &[PackedSeq],
+                _seeds: &[u64],
+                _shortlists: &[Option<Vec<usize>>],
+            ) -> Vec<crate::BackendOutcome> {
+                let outcome = crate::BackendOutcome {
                     positions: vec![0],
                     cycles: 2,
                     searches: 1,
                     energy_j: 0.0,
-                    ..BackendOutcome::default()
-                }
+                    ..crate::BackendOutcome::default()
+                };
+                vec![outcome; reads.len()]
             }
         }
         let err = AsmcapPipeline::builder()
@@ -1274,7 +1214,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, PipelineError::MissingReference);
         // With a reference, the prefilter shortlists for the custom
-        // backend too (its default map_shortlisted ignores the hint).
+        // backend too (this one ignores the hint).
         let genome = GenomeModel::uniform().generate(2_048, 10);
         let pipeline = AsmcapPipeline::builder()
             .reference(genome.clone())

@@ -28,7 +28,6 @@ use asmcap_genome::{Base, ErrorProfile, PackedSeq};
 /// insertions need *left* rotations, so the default alternates to cover
 /// both (see `DESIGN.md` §2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RotationSchedule {
     /// right 1, left 1, right 2, left 2, …
     #[default]
@@ -108,7 +107,6 @@ impl RotationSchedule {
 /// assert_eq!(params.lower_bound(&ErrorProfile::condition_b(), 256), 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TasrParams {
     /// Lower-bound constant `γ` (paper: 2 × 10⁻⁴).
     pub gamma: f64,

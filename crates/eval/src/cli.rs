@@ -15,68 +15,6 @@ use asmcap_genome::fastq::FastqRecord;
 use asmcap_genome::DnaSeq;
 use std::fmt;
 
-/// Mapping options (mirrors the CLI flags).
-///
-/// Deprecated: the CLI now parses straight into [`PipelineConfig`], which is
-/// the single config type; this shim only remains for downstream callers of
-/// [`map_reads`] and converts via [`MapOptions::pipeline_config`].
-#[derive(Debug, Clone)]
-#[deprecated(
-    since = "0.2.0",
-    note = "build a PipelineConfig and use map_records (or AsmcapPipeline directly)"
-)]
-pub struct MapOptions {
-    /// Edit-distance threshold `T`.
-    pub threshold: usize,
-    /// Expected error profile (drives HDAC/TASR parameters).
-    pub profile: asmcap_genome::ErrorProfile,
-    /// Enable HDAC.
-    pub hdac: bool,
-    /// Enable TASR.
-    pub tasr: bool,
-    /// Reference segmentation stride (1 = every offset).
-    pub stride: usize,
-    /// Row width; shorter reads are rejected, longer reads truncated.
-    pub row_width: usize,
-    /// Sensing seed.
-    pub seed: u64,
-}
-
-#[allow(deprecated)]
-impl Default for MapOptions {
-    /// Mirrors [`PipelineConfig::default`] — the defaults live in one place.
-    fn default() -> Self {
-        let config = PipelineConfig::default();
-        Self {
-            threshold: config.threshold,
-            profile: config.profile,
-            hdac: config.hdac.is_some(),
-            tasr: config.tasr.is_some(),
-            stride: config.stride,
-            row_width: config.row_width,
-            seed: config.seed,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl MapOptions {
-    /// Converts into the pipeline's config type.
-    #[must_use]
-    pub fn pipeline_config(&self) -> PipelineConfig {
-        PipelineConfig {
-            threshold: self.threshold,
-            profile: self.profile,
-            hdac: self.hdac.then(asmcap::HdacParams::paper),
-            tasr: self.tasr.then(asmcap::TasrParams::paper),
-            stride: self.stride,
-            row_width: self.row_width,
-            seed: self.seed,
-            ..PipelineConfig::default()
-        }
-    }
-}
-
 /// One output row of the mapper.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MappingRow {
@@ -235,105 +173,6 @@ pub fn map_records(
     })
 }
 
-/// Error produced by the deprecated [`map_reads`].
-#[derive(Debug)]
-pub enum MapError {
-    /// The reference is shorter than one row.
-    ReferenceTooShort {
-        /// Reference length in bases.
-        reference: usize,
-        /// Configured row width.
-        row_width: usize,
-    },
-    /// A read is shorter than the row width.
-    ReadTooShort {
-        /// The offending read's id.
-        read_id: String,
-        /// Its length.
-        len: usize,
-        /// Configured row width.
-        row_width: usize,
-    },
-    /// Any other pipeline construction failure.
-    Pipeline(PipelineError),
-}
-
-impl fmt::Display for MapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MapError::ReferenceTooShort {
-                reference,
-                row_width,
-            } => write!(
-                f,
-                "reference of {reference} bases is shorter than one {row_width}-base row"
-            ),
-            MapError::ReadTooShort {
-                read_id,
-                len,
-                row_width,
-            } => write!(
-                f,
-                "read '{read_id}' has {len} bases, below the {row_width}-base row width"
-            ),
-            MapError::Pipeline(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for MapError {}
-
-/// Maps FASTQ reads against a reference (deprecated compatibility shim).
-///
-/// Unlike [`map_records`], this preserves the historical contract of
-/// aborting on the first too-short read.
-///
-/// # Errors
-///
-/// Returns [`MapError`] for a too-short reference or read.
-#[allow(deprecated)]
-#[deprecated(since = "0.2.0", note = "use map_records with a PipelineConfig")]
-pub fn map_reads(
-    reference: &DnaSeq,
-    reads: &[FastqRecord],
-    options: &MapOptions,
-) -> Result<Vec<MappingRow>, MapError> {
-    // Preserve the historical contract and its error precedence: the
-    // reference is validated first, then short reads are rejected by a
-    // cheap length scan before any device mapping happens.
-    if reference.len() < options.row_width {
-        return Err(MapError::ReferenceTooShort {
-            reference: reference.len(),
-            row_width: options.row_width,
-        });
-    }
-    if let Some(short) = reads.iter().find(|r| r.seq.len() < options.row_width) {
-        return Err(MapError::ReadTooShort {
-            read_id: short.id.clone(),
-            len: short.seq.len(),
-            row_width: options.row_width,
-        });
-    }
-    let run = map_records(
-        reference,
-        reads,
-        &options.pipeline_config(),
-        BackendKind::Device,
-        None,
-    )
-    .map_err(|e| match e {
-        PipelineError::ReferenceTooShort {
-            reference,
-            row_width,
-        } => MapError::ReferenceTooShort {
-            reference,
-            row_width,
-        },
-        other => MapError::Pipeline(other),
-    })?;
-    Ok(run.rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,32 +246,6 @@ mod tests {
         );
         assert_eq!(run.stats.truncated, 1);
         assert_eq!(run.stats.rejected, 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_map_reads_preserves_error_contract() {
-        let genome = GenomeModel::uniform().generate(100, 2);
-        let err = map_reads(&genome, &[], &MapOptions::default()).unwrap_err();
-        assert!(matches!(err, MapError::ReferenceTooShort { .. }));
-
-        let genome = GenomeModel::uniform().generate(8_000, 3);
-        let short = vec![FastqRecord {
-            id: "tiny".into(),
-            seq: genome.window(0..50),
-            quals: vec![40; 50],
-        }];
-        let err = map_reads(&genome, &short, &MapOptions::default()).unwrap_err();
-        assert!(matches!(err, MapError::ReadTooShort { .. }));
-
-        // The shim's defaults mirror PipelineConfig's.
-        let options = MapOptions::default();
-        let config = PipelineConfig::default();
-        assert_eq!(options.threshold, config.threshold);
-        assert_eq!(options.stride, config.stride);
-        assert_eq!(options.row_width, config.row_width);
-        assert_eq!(options.hdac, config.hdac.is_some());
-        assert_eq!(options.tasr, config.tasr.is_some());
     }
 
     #[test]

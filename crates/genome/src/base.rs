@@ -17,7 +17,6 @@ use std::fmt;
 /// assert_eq!(Base::C.to_char(), 'C');
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum Base {
     /// Adenine.

@@ -16,7 +16,6 @@ use rand::Rng as _;
 
 /// One evaluation unit: a read paired with a stored reference segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReadPair {
     /// Index of the read in [`PairDataset::reads`].
     pub read_index: usize,

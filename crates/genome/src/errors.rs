@@ -29,7 +29,6 @@ use std::fmt;
 /// assert!(b.indel_rate() > b.substitution);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ErrorProfile {
     /// Substitution rate `e_s` per emitted base.
     pub substitution: f64,
@@ -120,7 +119,6 @@ impl fmt::Display for ErrorProfile {
 
 /// The kind of a single edit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EditKind {
     /// A base emitted differently from the reference.
     Substitution,
@@ -132,7 +130,6 @@ pub enum EditKind {
 
 /// One operation in the alignment script relating a read to its reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EditOp {
     /// Emit the reference base unchanged.
     Match,
@@ -150,7 +147,6 @@ pub enum EditOp {
 /// read exactly ([`EditLog::apply`]), which pins down the injector's
 /// semantics in tests.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EditLog {
     ops: Vec<EditOp>,
 }
@@ -289,7 +285,6 @@ impl fmt::Display for EditLog {
 /// keeping the *expected number of edited bases* equal to the i.i.d. model,
 /// so accuracy results remain comparable across burstiness levels.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ErrorModel {
     /// Independent per-base events (the paper's dataset construction).
     Iid(ErrorProfile),

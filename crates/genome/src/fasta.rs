@@ -13,7 +13,6 @@ use std::io::{self, BufRead, Write};
 
 /// One FASTA record: a header line (without `>`) and its sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FastaRecord {
     /// Header text following `>` (identifier and free-form description).
     pub id: String,

@@ -15,7 +15,6 @@ const PHRED_OFFSET: u8 = 33;
 
 /// One FASTQ record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FastqRecord {
     /// Identifier following `@` (may contain a description).
     pub id: String,

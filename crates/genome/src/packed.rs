@@ -96,7 +96,6 @@ pub(crate) fn tail_mask(len_in_word: usize) -> u64 {
 /// # Ok::<(), asmcap_genome::base::ParseBaseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PackedSeq {
     words: Vec<u64>,
     len: usize,

@@ -7,7 +7,6 @@ use rand::Rng as _;
 
 /// A read sampled from a reference, together with its provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SampledRead {
     /// The (possibly erroneous) read bases.
     pub bases: DnaSeq,

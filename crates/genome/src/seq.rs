@@ -23,7 +23,6 @@ use std::str::FromStr;
 /// # Ok::<(), asmcap_genome::base::ParseBaseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DnaSeq {
     bases: Vec<Base>,
 }

@@ -555,8 +555,8 @@ fn cfg_feature_occurrences(file: &SourceFile) -> Vec<(String, bool, u32, usize)>
             if punct_at(t, open, '[') {
                 if let Some(close) = matching_delim(t, open, '[', ']') {
                     let body = &t[open + 1..close];
-                    // `cfg(...)` only — `cfg_attr` carries its own fallback
-                    // semantics and the serde hooks legitimately have none.
+                    // `cfg(...)` only — a `cfg_attr` drops its attribute
+                    // when the cfg is off, which is its own fallback.
                     if body.first().is_some_and(|x| x.is_ident("cfg"))
                         && !body.iter().any(|x| x.is_ident("test"))
                     {

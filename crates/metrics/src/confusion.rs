@@ -24,7 +24,6 @@ use std::ops::{Add, AddAssign};
 /// assert_eq!(cm.f1(), 0.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfusionMatrix {
     /// Predicted match, truly a match.
     pub true_positives: u64,

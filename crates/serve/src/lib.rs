@@ -3,7 +3,7 @@
 //! `asmcap-serve` turns an [`asmcap::AsmcapPipeline`] into a network
 //! service: many concurrent clients send reads over a length-prefixed
 //! binary TCP protocol, the server coalesces them into dense batches,
-//! drains each batch through the pipeline's batched device dispatch,
+//! drains each batch through the pipeline's indexed batch entry point,
 //! and streams per-request results (positions, cycles, searches, energy,
 //! queue/service latency) back. Zero dependencies beyond the workspace —
 //! std TCP and threads only.

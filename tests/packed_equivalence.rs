@@ -4,7 +4,7 @@
 //! as the byte-per-base walk it replaced. These tests pin that contract
 //! across the pipeline, the backends, the engine, and the array.
 
-use asmcap::{AsmMatcher as _, MappingBackend as _};
+use asmcap::AsmMatcher as _;
 use asmcap::{
     AsmcapPipeline, BackendKind, ExtensionConfig, FaultPlan, MapRecord, MapStatus, PipelineConfig,
 };
@@ -345,25 +345,6 @@ fn fault_on_is_deterministic_across_worker_counts() {
     );
 }
 
-/// The trait's mutual defaults: a backend reached through `map_seeded`
-/// (slice) and through `map_packed` (words) makes identical decisions and
-/// draws identical noise.
-#[test]
-fn backend_entry_points_agree() {
-    let genome = GenomeModel::uniform().generate(4_096, 5);
-    let backend = asmcap::PairBackend::new(
-        genome.clone(),
-        1,
-        WIDTH,
-        asmcap::MapperConfig::paper(8, ErrorProfile::condition_b()),
-    );
-    let read = genome.window(900..900 + WIDTH);
-    let via_slice = backend.map_seeded(&read, 42);
-    let via_words = backend.map_packed(&PackedSeq::from_seq(&read), 42);
-    assert_eq!(via_slice, via_words);
-    assert!(via_slice.positions.contains(&900));
-}
-
 /// The engine's scalar `matches` delegates to `matches_packed`; a fresh
 /// engine fed slices and a fresh engine fed packed segment views of the
 /// same reference walk identical RNG streams and return identical outcomes.
@@ -391,8 +372,9 @@ fn engine_scalar_and_packed_paths_are_interchangeable() {
     }
 }
 
-/// `CamArray::search` packs and forwards to `search_packed`: same rows,
-/// same n_mis, same sense decisions, same energy.
+/// `CamArray::search` over all rows and the `search_packed_rows` wrapper
+/// over every row index: same rows, same n_mis, same sense decisions, same
+/// energy.
 #[test]
 fn array_search_entry_points_agree() {
     let genome = GenomeModel::uniform().generate(4_096, 3);
@@ -402,14 +384,14 @@ fn array_search_entry_points_agree() {
             .store_row(&genome.as_slice()[i * 200..i * 200 + WIDTH])
             .unwrap();
     }
-    let read = genome.window(1_000..1_000 + WIDTH);
-    let packed_read = PackedSeq::from_seq(&read);
+    let read = PackedSeq::from_seq(&genome.window(1_000..1_000 + WIDTH));
+    let all_rows: Vec<usize> = (0..array.rows()).collect();
     for mode in [MatchMode::EdStar, MatchMode::Hamming] {
         let mut rng_a = asmcap_circuit::rng(11);
         let mut rng_b = asmcap_circuit::rng(11);
         assert_eq!(
-            array.search(read.as_slice(), 4, mode, &mut rng_a),
-            array.search_packed(&packed_read, 4, mode, &mut rng_b),
+            array.search(&read, 4, mode, None, &mut rng_a, None),
+            array.search_packed_rows(&read, 4, mode, &all_rows, &mut rng_b),
             "array diverged in {mode} mode"
         );
     }

@@ -397,15 +397,21 @@ fn custom_backends_plug_in() {
         fn row_width(&self) -> usize {
             WIDTH
         }
-        fn map_seeded(&self, _read: &DnaSeq, _seed: u64) -> asmcap::BackendOutcome {
-            asmcap::BackendOutcome {
+        fn map_batch_shortlisted(
+            &self,
+            reads: &[asmcap_genome::PackedSeq],
+            _seeds: &[u64],
+            _shortlists: &[Option<Vec<usize>>],
+        ) -> Vec<asmcap::BackendOutcome> {
+            let outcome = asmcap::BackendOutcome {
                 positions: vec![0],
                 cycles: 2,
                 searches: 1,
                 energy_j: 0.0,
                 resensed: 0,
                 requarried: 0,
-            }
+            };
+            vec![outcome; reads.len()]
         }
     }
     let pipeline = AsmcapPipeline::builder()

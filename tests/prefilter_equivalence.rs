@@ -141,12 +141,12 @@ fn full_shortlist_is_byte_identical_to_full_scan() {
     let backends: [&dyn asmcap::MappingBackend; 3] = [&device, &pair, &software];
     let sampler = ReadSampler::new(WIDTH, ErrorProfile::condition_a());
     for (i, read) in sampler.sample_many(&genome, 4, 91).into_iter().enumerate() {
-        let packed = PackedSeq::from_seq(&read.bases);
-        let seed = 400 + i as u64;
+        let packed = [PackedSeq::from_seq(&read.bases)];
+        let seed = [400 + i as u64];
         for backend in backends {
             assert_eq!(
-                backend.map_packed(&packed, seed),
-                backend.map_shortlisted(&packed, seed, &all_starts),
+                backend.map_batch_shortlisted(&packed, &seed, &[None]),
+                backend.map_batch_shortlisted(&packed, &seed, &[Some(all_starts.clone())]),
                 "{} diverged under a full shortlist",
                 backend.name()
             );

@@ -326,8 +326,8 @@ proptest! {
             .build_asmcap();
         device.store_reference(&genome, width).unwrap();
         let mut rng = asmcap_circuit::rng(seed ^ 0xF00D);
-        let read = genome.window(row * width..(row + 1) * width);
-        let result = device.search(read.as_slice(), 1, MatchMode::EdStar, &mut rng);
+        let read = asmcap_genome::PackedSeq::from_seq(&genome.window(row * width..(row + 1) * width));
+        let result = device.search(&read, 1, MatchMode::EdStar, None, &mut rng, None);
         prop_assert!(
             result.matches.iter().any(|m| m.origin == row * width && m.n_mis == 0),
             "row {row} not found"
