@@ -139,6 +139,86 @@ impl SearchOutcome {
     }
 }
 
+/// What [`SenseAmp::certain`] says about one mismatch count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Not classified yet in this search.
+    Unknown,
+    /// The draw can change the decision: sense it.
+    Draw,
+    /// Every draw matches.
+    Match,
+    /// Every draw misses.
+    Miss,
+}
+
+/// Mismatch counts a [`CleanSense`] memoizes: every count of a row up to
+/// 256 cells. Wider rows classify their higher counts per row.
+const VERDICT_MEMO: usize = 257;
+
+/// One clean search's sensing: each distinct `n_mis` is classified by
+/// [`SenseAmp::certain`] once, a certain row costs one lookup, and a run
+/// of certain rows costs one stream seek, taken before the next real draw
+/// or at [`CleanSense::flush`]. The memo lives on the stack, so a search
+/// over a few masked rows allocates nothing for it.
+struct CleanSense<'a, M> {
+    sense: &'a SenseAmp<M>,
+    width: usize,
+    threshold: usize,
+    verdicts: [Verdict; VERDICT_MEMO],
+    /// Draws decided without drawing and not yet sought past.
+    skipped: u64,
+}
+
+impl<'a, M: MlCam> CleanSense<'a, M> {
+    fn new(sense: &'a SenseAmp<M>, width: usize, threshold: usize) -> Self {
+        Self {
+            sense,
+            width,
+            threshold,
+            verdicts: [Verdict::Unknown; VERDICT_MEMO],
+            skipped: 0,
+        }
+    }
+
+    /// The row's decision; draws from `rng` exactly as
+    /// [`SenseAmp::decide`] once [`CleanSense::flush`] has run.
+    fn decide(&mut self, n_mis: usize, rng: &mut Rng) -> bool {
+        let verdict = match self.verdicts.get(n_mis) {
+            Some(&known) if known != Verdict::Unknown => known,
+            _ => {
+                let verdict = match self.sense.certain(n_mis, self.width, self.threshold, 0.0) {
+                    None => Verdict::Draw,
+                    Some(true) => Verdict::Match,
+                    Some(false) => Verdict::Miss,
+                };
+                if let Some(slot) = self.verdicts.get_mut(n_mis) {
+                    *slot = verdict;
+                }
+                verdict
+            }
+        };
+        match verdict {
+            Verdict::Match | Verdict::Miss => {
+                self.skipped += 1;
+                verdict == Verdict::Match
+            }
+            _ => {
+                self.flush(rng);
+                self.sense.decide(n_mis, self.width, self.threshold, rng)
+            }
+        }
+    }
+
+    /// Moves `rng` past the draws decided without drawing.
+    fn flush(&mut self, rng: &mut Rng) {
+        if self.skipped > 0 {
+            asmcap_circuit::noise::skip_standard_normals(rng, self.skipped);
+            self.skipped = 0;
+        }
+    }
+}
+
 /// An `M×N` content-addressable array over sensing model `M`.
 ///
 /// # Examples
@@ -351,7 +431,10 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
     /// stream passed, every row senses through the fault model (see
     /// [`CamArray::install_faults`]); otherwise rows sense cleanly and the
     /// fault stream is left untouched. Either way the sensing stream `rng`
-    /// takes exactly one draw per live, non-quarantined sensed row.
+    /// advances by exactly one draw (four stream words) per live,
+    /// non-quarantined sensed row: drawn when the noise can change the
+    /// row's decision, sought past when [`SenseAmp::certain`] settles it,
+    /// so the outcome and the stream afterwards equal drawing every row.
     ///
     /// # Panics
     ///
@@ -429,9 +512,14 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
                     )
                 })
             }
-            _ => self.row_loop(rows, read, mode, |_, _, n_mis| {
-                (n_mis, self.sense.decide(n_mis, self.width, threshold, rng))
-            }),
+            _ => {
+                let mut clean = CleanSense::new(&self.sense, self.width, threshold);
+                let outcomes = self.row_loop(rows, read, mode, |_, _, n_mis| {
+                    (n_mis, clean.decide(n_mis, rng))
+                });
+                clean.flush(rng);
+                outcomes
+            }
         }
     }
 
@@ -905,5 +993,151 @@ mod tests {
         );
         assert_eq!(full, masked, "full row list must be byte-identical");
         assert_eq!(tally_full, tally_masked);
+    }
+
+    /// An array whose rows sit at every distance from one read: row `i`
+    /// is the read (or, every fourth row, unrelated sequence) with
+    /// `i % 12` substitutions, so a search has rows on, near and far from
+    /// `V_ref`.
+    fn graded_test_array() -> (CamArray<ChargeDomainCam>, PackedSeq) {
+        let genome = GenomeModel::uniform().generate(8_000, 41);
+        let read = &genome.as_slice()[..64];
+        let mut array = CamArray::asmcap(48, 64);
+        for i in 0..48usize {
+            let mut row = if i % 4 == 3 {
+                genome.as_slice()[1_000 + i * 100..][..64].to_vec()
+            } else {
+                read.to_vec()
+            };
+            for k in 0..i % 12 {
+                let col = (i * 7 + k * 13) % 64;
+                row[col] = row[col].substituted(k as u8);
+            }
+            array.store_row(&row).unwrap();
+        }
+        (array, PackedSeq::from_bases(read))
+    }
+
+    /// `search` over every row with faults as installed, but drawing every
+    /// measurement through `MlCam::measure`: the always-drawing oracle.
+    fn drawing_oracle(
+        array: &CamArray<ChargeDomainCam>,
+        read: &PackedSeq,
+        t: usize,
+        rng: &mut Rng,
+        fault_rng: &mut Rng,
+    ) -> Vec<RowSearchOutcome> {
+        let boundary = array.sense().policy().boundary_states(t);
+        let drawn = |n: usize, offset: f64, rng: &mut Rng| {
+            array.sense().cam().measure(n, array.width(), rng) + offset <= boundary
+        };
+        let faults = array.faults();
+        (0..array.rows())
+            .map(|row| {
+                let n_true = array.row_mismatches_packed(row, read, MatchMode::EdStar);
+                let (n_mis, matched) = match faults.and_then(|f| f.rows.get(row)) {
+                    None => (n_true, drawn(n_true, 0.0, rng)),
+                    Some(rf) if rf.quarantined => (n_true, n_true <= t),
+                    Some(rf) => {
+                        let faults = faults.unwrap();
+                        let n_eff = ArrayFaults::effective_n_mis(
+                            rf,
+                            &array.rows[row],
+                            read,
+                            n_true,
+                            MatchMode::EdStar,
+                        );
+                        let flip = |fault_rng: &mut Rng| {
+                            faults.transient_flip_rate > 0.0
+                                && asmcap_circuit::noise::uniform(fault_rng)
+                                    < faults.transient_flip_rate
+                        };
+                        let mut decision = false;
+                        if !rf.dead {
+                            decision = drawn(n_eff, faults.drift_states, rng) ^ flip(fault_rng);
+                            if faults.resense_votes > 1 && decision != (n_eff <= t) {
+                                let mut yes = u32::from(decision);
+                                for _ in 1..faults.resense_votes {
+                                    let vote = drawn(n_eff, faults.drift_states, fault_rng)
+                                        ^ flip(fault_rng);
+                                    yes += u32::from(vote);
+                                }
+                                decision = yes * 2 > faults.resense_votes;
+                            }
+                        }
+                        (n_eff, decision)
+                    }
+                };
+                RowSearchOutcome {
+                    row,
+                    n_mis,
+                    matched,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn search_equals_an_always_drawing_row_by_row_oracle() {
+        use rand::RngCore as _;
+        let stress = FaultPlan {
+            seed: 4,
+            stuck_match_rate: 0.01,
+            stuck_mismatch_rate: 0.01,
+            dead_row_rate: 0.05,
+            drift_sigma_states: 0.5,
+            transient_flip_rate: 0.05,
+            resense_votes: 3,
+            selftest_trials: 5,
+        };
+        let plans = [FaultPlan::none(), FaultPlan::paper_corner(13), stress];
+        let (mut settled, mut drawn) = (0, 0);
+        for plan in &plans {
+            for t in [3usize, 6, 9] {
+                let (mut array, read) = graded_test_array();
+                array.install_faults(plan, 0, t);
+                if let Some(faults) = array.faults() {
+                    // The self-test scan's quarantine, redrawn by the oracle.
+                    let mut selftest = plan.selftest_rng(0);
+                    let boundary = array.sense().policy().boundary_states(t);
+                    for (row, rf) in faults.rows.iter().enumerate() {
+                        let fails = (0..plan.selftest_trials)
+                            .filter(|_| {
+                                let measured = array.sense().cam().measure(
+                                    rf.self_mismatches(),
+                                    64,
+                                    &mut selftest,
+                                );
+                                rf.dead || measured + faults.drift_states > boundary
+                            })
+                            .count() as u32;
+                        assert_eq!(rf.quarantined, fails * 2 > plan.selftest_trials, "{row}");
+                    }
+                }
+                for seed in 0..8 {
+                    let (mut rng_a, mut rng_b) = (rng(seed), rng(seed));
+                    let mut fault_a = plan.read_fault_rng(seed);
+                    let mut fault_b = fault_a.clone();
+                    let mut tally = FaultTally::default();
+                    let fault = plan.is_active().then_some((&mut fault_a, &mut tally));
+                    let outcome =
+                        array.search(&read, t, MatchMode::EdStar, None, &mut rng_a, fault);
+                    let oracle = drawing_oracle(&array, &read, t, &mut rng_b, &mut fault_b);
+                    let context = format!("plan {plan:?} T {t} seed {seed}");
+                    assert_eq!(outcome.rows, oracle, "{context}");
+                    assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{context}");
+                    assert_eq!(fault_a.next_u64(), fault_b.next_u64(), "{context}");
+                    for row in &oracle {
+                        match array.sense().certain(row.n_mis, 64, t, 0.0) {
+                            Some(_) => settled += 1,
+                            None => drawn += 1,
+                        }
+                    }
+                }
+            }
+        }
+        // Both far rows (sought past) and near rows (drawn) occur.
+        assert!(settled > 3 * drawn, "{settled} settled, {drawn} drawn");
+        assert!(drawn > 20, "{settled} settled, {drawn} drawn");
     }
 }

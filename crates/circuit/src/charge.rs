@@ -162,7 +162,7 @@ impl ChargeDomainCam {
 
 impl MlCam for ChargeDomainCam {
     fn measure(&self, n_mis: usize, n: usize, rng: &mut Rng) -> f64 {
-        noise::normal(n_mis as f64, self.sigma_states(n_mis, n), rng)
+        noise::normal(self.mean_states(n_mis, n), self.sigma_states(n_mis, n), rng)
     }
 
     fn sigma_states(&self, n_mis: usize, n: usize) -> f64 {
@@ -172,6 +172,10 @@ impl MlCam for ChargeDomainCam {
         let m = n_mis as f64;
         let eq2 = m * (n_f - m) / n_f * self.params.cap_sigma_rel.powi(2);
         (eq2 + self.params.sa_offset_states.powi(2)).sqrt()
+    }
+
+    fn is_single_normal(&self) -> bool {
+        true
     }
 
     fn search_time_s(&self) -> f64 {

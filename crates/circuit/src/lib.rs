@@ -72,6 +72,16 @@ pub trait MlCam {
     /// Analytic standard deviation of [`MlCam::measure`] in state units.
     fn sigma_states(&self, n_mis: usize, n: usize) -> f64;
 
+    /// Whether one [`MlCam::measure`] is exactly
+    /// `noise::normal(self.mean_states(..), self.sigma_states(..), rng)`:
+    /// a single standard normal, so [`SenseAmp::certain`] can settle a
+    /// decision far from `V_ref` without drawing. `false` (the default)
+    /// makes every decision draw; [`CurrentDomainCam`] keeps it, since its
+    /// product form draws two or three normals per measurement.
+    fn is_single_normal(&self) -> bool {
+        false
+    }
+
     /// Search latency in seconds for one in-array search operation.
     fn search_time_s(&self) -> f64;
 

@@ -5,7 +5,21 @@
 //! outputs `match` exactly when `ED* ≤ T` (§III-B/C). With sensing noise,
 //! where the reference sits *between* states matters, so the placement is a
 //! configurable [`VrefPolicy`].
+//!
+//! **Far rows skip their draw, exactly.** The §V-D misjudgment analysis
+//! says a row many σ from `V_ref` senses its noiseless decision. For a
+//! model whose measurement is one normal ([`MlCam::is_single_normal`]),
+//! every draw has `|z| ≤` [`noise::STANDARD_NORMAL_BOUND`] (8.5; the true
+//! extreme is ≈ 8.4904) and consumes exactly
+//! [`noise::STANDARD_NORMAL_WORDS`] (4) stream words. Floating-point
+//! `*` and `+` round monotonically, so `mean + σ·z + offset` lies between
+//! its values at `z = ±8.5`; when both sides of that range fall on the
+//! same side of the boundary, the decision is known before drawing.
+//! [`SenseAmp::certain`] reports it, and [`SenseAmp::decide`] then moves
+//! the stream four words forward instead of drawing: decisions and every
+//! later draw are identical to always drawing.
 
+use crate::noise;
 use crate::{MlCam, Rng};
 
 /// Where to place `V_ref` relative to the threshold state `T`.
@@ -79,7 +93,7 @@ impl<M: MlCam> SenseAmp<M> {
     /// One noisy match decision: `true` iff the measured matchline value
     /// falls at or below the `V_ref` boundary for `threshold`.
     pub fn decide(&self, n_mis: usize, n: usize, threshold: usize, rng: &mut Rng) -> bool {
-        self.cam.measure(n_mis, n, rng) <= self.policy.boundary_states(threshold)
+        self.decide_with_offset(n_mis, n, threshold, 0.0, rng)
     }
 
     /// [`SenseAmp::decide`] with a systematic matchline offset in state
@@ -87,6 +101,11 @@ impl<M: MlCam> SenseAmp<M> {
     /// A positive offset pushes every measurement away from "match",
     /// eroding the sense margin. `decide_with_offset(.., 0.0, ..)` draws
     /// and decides exactly as [`SenseAmp::decide`].
+    ///
+    /// A decision [`SenseAmp::certain`] settles costs no draw: the stream
+    /// moves past the measurement's words instead, so the result and the
+    /// stream afterwards are those of drawing `measure(..) + offset ≤
+    /// boundary`.
     pub fn decide_with_offset(
         &self,
         n_mis: usize,
@@ -95,7 +114,43 @@ impl<M: MlCam> SenseAmp<M> {
         offset_states: f64,
         rng: &mut Rng,
     ) -> bool {
+        if let Some(decision) = self.certain(n_mis, n, threshold, offset_states) {
+            noise::skip_standard_normals(rng, 1);
+            return decision;
+        }
         self.cam.measure(n_mis, n, rng) + offset_states <= self.policy.boundary_states(threshold)
+    }
+
+    /// The decision every possible draw gives a row with `n_mis` of `n`
+    /// cells mismatched at `threshold` and matchline offset
+    /// `offset_states`, or `None` when the draw matters or the model's
+    /// measurement is not a single normal ([`MlCam::is_single_normal`]).
+    ///
+    /// Evaluates the drawn expression `(mean + σ·z) + offset ≤ boundary`
+    /// at `z = ±`[`noise::STANDARD_NORMAL_BOUND`]; rounding is monotone,
+    /// so the two ends bound every draw. At σ = 0 both ends are the
+    /// drawn expression itself, `mean + offset ≤ boundary`.
+    #[must_use]
+    pub fn certain(
+        &self,
+        n_mis: usize,
+        n: usize,
+        threshold: usize,
+        offset_states: f64,
+    ) -> Option<bool> {
+        if !self.cam.is_single_normal() {
+            return None;
+        }
+        let boundary = self.policy.boundary_states(threshold);
+        let mean = self.cam.mean_states(n_mis, n);
+        let spread = self.cam.sigma_states(n_mis, n) * noise::STANDARD_NORMAL_BOUND;
+        if (mean + spread) + offset_states <= boundary {
+            Some(true)
+        } else if (mean - spread) + offset_states > boundary {
+            Some(false)
+        } else {
+            None
+        }
     }
 
     /// Analytic probability that a row with `n_mis` mismatches is declared

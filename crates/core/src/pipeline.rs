@@ -57,7 +57,7 @@ use asmcap_metrics::Alignment;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Everything a mapping run needs, in one place — the single config type
@@ -776,23 +776,24 @@ impl AsmcapPipeline {
     }
 
     /// Aggregated statistics across everything mapped so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked while holding the stats lock.
     #[must_use]
     pub fn stats(&self) -> PipelineStats {
-        *self.stats.lock().expect("stats lock poisoned")
+        *self.stats_guard()
     }
 
     /// Resets the aggregated statistics (the read-index counter keeps
     /// running so determinism is preserved).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked while holding the stats lock.
     pub fn reset_stats(&self) {
-        *self.stats.lock().expect("stats lock poisoned") = PipelineStats::default();
+        *self.stats_guard() = PipelineStats::default();
+    }
+
+    /// The stats lock. A thread that panicked while holding it poisons
+    /// it, but the guarded value is plain counters that stay valid at
+    /// every step of an update (an interrupted batch has counted the
+    /// reads absorbed so far), so the lock is recovered rather than
+    /// turning one panic into a panic on every later call.
+    fn stats_guard(&self) -> MutexGuard<'_, PipelineStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Maps one executor tile — the pipeline's only per-read dispatch.
@@ -899,10 +900,6 @@ impl AsmcapPipeline {
     /// [`AsmcapPipeline::map`] over an already packed read — the zero-repack
     /// entry point for callers that hold packed data (e.g. the long-read
     /// fragmenter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked while holding the stats lock.
     pub fn map_packed(&self, read: &PackedSeq) -> MapRecord {
         // lint: timing-ok — wall_s is a stats field; decisions never read it.
         let start = Instant::now();
@@ -912,7 +909,7 @@ impl AsmcapPipeline {
             .map_tile(std::slice::from_ref(read), &[index])
             .pop()
             .expect("a tile of one read yields one record");
-        let mut stats = self.stats.lock().expect("stats lock poisoned");
+        let mut stats = self.stats_guard();
         stats.absorb(&record);
         stats.wall_s += start.elapsed().as_secs_f64();
         record
@@ -992,7 +989,7 @@ impl AsmcapPipeline {
             let indices: Vec<u64> = tile.clone().map(index_of).collect();
             self.map_tile(&reads[tile], &indices)
         });
-        let mut stats = self.stats.lock().expect("stats lock poisoned");
+        let mut stats = self.stats_guard();
         for record in &records {
             stats.absorb(record);
         }
@@ -1260,6 +1257,29 @@ mod tests {
         let batched = a.map_batch(&reads);
         let streamed: Vec<MapRecord> = b.map_iter(reads).collect();
         assert_eq!(batched, streamed);
+    }
+
+    #[test]
+    fn a_panic_holding_the_stats_lock_does_not_break_later_calls() {
+        let (mapped, genome) = pipeline(2);
+        let reads: Vec<PackedSeq> = (0..6)
+            .map(|i| PackedSeq::from_seq(&genome.window(i * 64..(i + 1) * 64)))
+            .collect();
+        let indices: Vec<u64> = (0..6).collect();
+        let expected = pipeline(2).0.map_batch_packed_indexed(&reads, &indices);
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = mapped.stats.lock();
+                panic!("a worker panics while holding the stats lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(mapped.stats.is_poisoned());
+        assert_eq!(mapped.stats().reads, 0);
+        assert_eq!(mapped.map_batch_packed_indexed(&reads, &indices), expected);
+        assert_eq!(mapped.stats().reads, 6);
+        mapped.reset_stats();
+        assert_eq!(mapped.stats(), PipelineStats::default());
     }
 
     #[test]
