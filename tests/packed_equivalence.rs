@@ -25,6 +25,19 @@ const GOLDEN: [(BackendKind, &str, u64); 6] = [
     (BackendKind::Software, "B", 0x633A_8911_6649_4693),
 ];
 
+/// Golden fingerprints of the extension-on alignments ([`alignment_fingerprint`])
+/// over the same workload, in [`GOLDEN`]'s order. Captured before the
+/// Myers/Hyyrö extension kernel replaced the per-level GenASM sweep: the
+/// kernel is a pure speed change, so every CIGAR byte must survive it.
+const ALIGNMENT_GOLDEN: [u64; 6] = [
+    0x2B87_63A5_0C9A_70D5,
+    0x2B87_63A5_0C9A_70D5,
+    0x2B87_63A5_0C9A_70D5,
+    0x2523_6E31_0620_8566,
+    0x2523_6E31_0620_8566,
+    0x2523_6E31_0620_8566,
+];
+
 /// FNV-1a over every *matching* field of every record. The enumeration is
 /// deliberately explicit — adding the `alignment` field to `MapRecord` must
 /// not perturb the hash of a run that never arms the extension stage.
@@ -49,6 +62,30 @@ fn fingerprint(records: &[MapRecord]) -> u64 {
         mix(r.cycles);
         mix(r.searches);
         mix(r.energy_j.to_bits());
+    }
+    h
+}
+
+/// FNV-1a over every record's alignment: `(origin, score, CIGAR string)`,
+/// or a marker for a record without one.
+fn alignment_fingerprint(records: &[MapRecord]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    for r in records {
+        mix(r.index);
+        match &r.alignment {
+            None => mix(u64::MAX),
+            Some(alignment) => {
+                mix(alignment.origin as u64);
+                mix(alignment.score as u64);
+                for byte in alignment.cigar.to_string().bytes() {
+                    mix(u64::from(byte));
+                }
+            }
+        }
     }
     h
 }
@@ -209,13 +246,15 @@ fn extension_off_matches_pr7_golden_capture() {
 /// Arming the extension stage changes **only** the `alignment` field:
 /// stripping it restores records byte-identical to an extension-off run
 /// (whose matching fields still hash to the PR 7 golden capture), the
-/// alignments land on reported positions, and every transcript replays at
-/// exactly its claimed cost against the packed reference segment.
+/// alignments land on reported positions, every transcript replays at
+/// exactly its claimed cost against the packed reference segment, and the
+/// alignments themselves — origins, scores and CIGAR bytes — hash to
+/// [`ALIGNMENT_GOLDEN`].
 #[test]
 fn extension_changes_only_the_alignment_field_and_replays_exactly() {
     let genome = GenomeModel::uniform().generate(16_384, 21);
     let packed_ref = PackedRef::new(&genome);
-    for (kind, condition, golden) in GOLDEN {
+    for ((kind, condition, golden), alignment_golden) in GOLDEN.into_iter().zip(ALIGNMENT_GOLDEN) {
         let (profile, threshold) = match condition {
             "A" => (ErrorProfile::condition_a(), 6),
             _ => (ErrorProfile::condition_b(), 8),
@@ -239,6 +278,13 @@ fn extension_changes_only_the_alignment_field_and_replays_exactly() {
             fingerprint(&extended),
             golden,
             "{kind:?}/condition {condition}: extension perturbed a matching field"
+        );
+        assert_eq!(
+            alignment_fingerprint(&extended),
+            alignment_golden,
+            "{kind:?}/condition {condition}: alignments drifted from the golden capture \
+             ({:#018X})",
+            alignment_fingerprint(&extended)
         );
         let mut aligned = 0usize;
         for ((read, p), e) in reads.iter().zip(&plain).zip(&extended) {
