@@ -21,8 +21,9 @@ use std::fmt;
 /// drives only the masked-in matchlines.
 ///
 /// The set rows are kept as one ascending list, so a mask costs its
-/// shortlist, not the device: building one from `c` origins is
-/// `O(c log rows)`, and [`RowMask::ones_in`] is two binary searches.
+/// shortlist, not the device: building one from `c` origins is `O(c)` on a
+/// single reference's stride grid (`O(c log rows)` at worst), and
+/// [`RowMask::ones_in`] is two binary searches.
 ///
 /// # Examples
 ///
@@ -275,9 +276,10 @@ impl Default for DeviceBuilder {
 pub struct AsmcapDevice<M> {
     arrays: Vec<CamArray<M>>,
     origins: Vec<usize>, // flat, in storage order
-    // Whether `origins` is ascending (true for one stored reference; a
+    // Whether `origins` strictly ascends (true for one stored reference; a
     // second `store_reference` call restarts at 0 and clears it), which is
-    // what lets `mask_for_origins` binary-search instead of scanning.
+    // what lets `mask_for_origins` find each candidate's one row instead of
+    // scanning.
     origins_sorted: bool,
     // `row_starts[a]` is array `a`'s first flat row; the last entry is the
     // occupied row total. Kept in step with the arrays by every store.
@@ -437,7 +439,7 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             self.arrays[cursor]
                 .store_row_packed(segment)
                 .expect("width and capacity checked");
-            if self.origins.last().is_some_and(|&last| start < last) {
+            if self.origins.last().is_some_and(|&last| start <= last) {
                 self.origins_sorted = false;
             }
             self.origins.push(start);
@@ -575,6 +577,16 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     /// The [`RowMask`] (flat storage order) selecting every stored row
     /// whose genome origin appears in `origins`.
     ///
+    /// With one stored reference the rows' origins ascend, so each
+    /// candidate finds its row directly: the stride of the first two rows
+    /// gives a guess, `(origin − origins[0]) / stride`, accepted only if
+    /// that row really holds `origin`, and a binary search otherwise. The
+    /// guess is exact for every layout and hits on the single-reference
+    /// stride grid [`AsmcapDevice::store_packed_reference`] writes, so a
+    /// mask costs `O(c)` for `c` candidates there (`O(c log rows)` at
+    /// worst) — never `O(reference)`. Once a second reference is stored
+    /// the origins no longer ascend and every stored row is checked.
+    ///
     /// # Panics
     ///
     /// Panics if `origins` is not sorted ascending (the shape the
@@ -587,12 +599,10 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         );
         let mut mask = RowMask::new(self.origins.len());
         if self.origins_sorted {
-            // One stored reference: each candidate binary-searches straight
-            // to its row, and ascending candidates give ascending rows, so
-            // the mask is built by appends in O(c log rows) — a shortlist
-            // must not cost O(reference) to apply.
+            // Ascending candidates give ascending rows: the mask is built
+            // by appends.
             for &origin in origins {
-                if let Ok(flat) = self.origins.binary_search(&origin) {
+                if let Some(flat) = self.row_of_sorted(origin) {
                     mask.set(flat);
                 }
             }
@@ -604,6 +614,21 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
             }
         }
         mask
+    }
+
+    /// The flat row holding `origin` while `origins` strictly ascends: the
+    /// stride guess when it hits, else a binary search.
+    fn row_of_sorted(&self, origin: usize) -> Option<usize> {
+        let (&first, rest) = self.origins.split_first()?;
+        // Below the first row's origin: no row holds it.
+        let offset = origin.checked_sub(first)?;
+        if let Some(&second) = rest.first() {
+            let flat = offset / (second - first);
+            if self.origins.get(flat) == Some(&origin) {
+                return Some(flat);
+            }
+        }
+        self.origins.binary_search(&origin).ok()
     }
 
     /// The arrays holding at least one row, with their indices.
@@ -1208,6 +1233,58 @@ mod tests {
     #[should_panic(expected = "out of mask")]
     fn row_mask_set_rejects_out_of_range_rows() {
         RowMask::new(4).set(4);
+    }
+
+    #[test]
+    fn mask_for_origins_equals_a_binary_search_oracle() {
+        // Every candidate's rows, found by binary-searching the candidate
+        // list for each stored origin.
+        let oracle = |device: &AsmcapDevice<ChargeDomainCam>, candidates: &[usize]| {
+            let mut mask = RowMask::new(device.stored_rows());
+            for (flat, origin) in device.origins.iter().enumerate() {
+                if candidates.binary_search(origin).is_ok() {
+                    mask.set(flat);
+                }
+            }
+            mask
+        };
+        use rand::Rng as _;
+        let mut draws = rng(0x0A5C);
+        for stride in 1..=16usize {
+            for second_reference in [false, true] {
+                let mut device = small_device();
+                let rows = 20 + stride % 7;
+                let genome = GenomeModel::uniform().generate(offset_len(rows, 64, stride), 60);
+                device.store_reference(&genome, stride).unwrap();
+                if second_reference {
+                    device
+                        .store_reference(&genome.window(0..64 + 3), 1)
+                        .unwrap();
+                }
+                let end = genome.len() + 2 * stride;
+                for _ in 0..24 {
+                    // On-grid, off-grid and past-the-end candidates.
+                    let mut candidates: Vec<usize> = (0..draws.gen_range(0..9))
+                        .map(|_| draws.gen_range(0..end))
+                        .collect();
+                    candidates.sort_unstable();
+                    candidates.dedup();
+                    assert_eq!(
+                        device.mask_for_origins(&candidates),
+                        oracle(&device, &candidates),
+                        "stride {stride}, second reference {second_reference}, {candidates:?}"
+                    );
+                }
+            }
+        }
+        // A single-row first store followed by a second one repeats origin
+        // 0: the origins stop strictly ascending and both rows are found.
+        let mut device = small_device();
+        let genome = GenomeModel::uniform().generate(80, 61);
+        device.store_reference(&genome.window(0..64), 1).unwrap();
+        device.store_reference(&genome, 8).unwrap();
+        assert_eq!(device.mask_for_origins(&[0, 8]), oracle(&device, &[0, 8]));
+        assert_eq!(device.mask_for_origins(&[0]).count_ones(), 2);
     }
 
     #[test]

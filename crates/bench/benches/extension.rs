@@ -1,5 +1,5 @@
-//! The extension/alignment stage: the raw GenASM-style banded bit-vector
-//! traceback kernel at the CAM row widths the backends search (64/128/256),
+//! The extension/alignment stage: the raw bit-vector alignment kernel
+//! (one Myers/Hyyrö pass plus a run-skipping traceback) at the CAM row widths the backends search (64/128/256),
 //! and the end-to-end price of arming `--extension` on a prefiltered
 //! pipeline at two reference sizes.
 //!
@@ -26,7 +26,8 @@ fn bench_align_kernel(c: &mut Criterion) {
         let pr = PackedSeq::from_seq(&read);
         let band = 2 * 8 + 2; // the default derived band at T = 8
         group.throughput(Throughput::Elements(width as u64));
-        // Condition-A pair: a few edits, so the level loop stops early.
+        // Condition-A pair: a few edits, the only traceback steps that read
+        // the stored deltas.
         group.bench_with_input(
             BenchmarkId::new("condition_a", width),
             &width,
@@ -34,11 +35,11 @@ fn bench_align_kernel(c: &mut Criterion) {
                 bencher.iter(|| align_packed(black_box(&pr), black_box(&ps), black_box(band)));
             },
         );
-        // Identical pair: the best case (one level, pure match sweep).
+        // Identical pair: the best case (the traceback is one `=` run).
         group.bench_with_input(BenchmarkId::new("exact", width), &width, |bencher, _| {
             bencher.iter(|| align_packed(black_box(&ps), black_box(&ps), black_box(band)));
         });
-        // Foreign pair: the worst case (every level filled, then None).
+        // Foreign pair: the same DP pass, then `None` without a traceback.
         let decoy = PackedSeq::from_seq(&GenomeModel::uniform().generate(width, 4_242));
         group.bench_with_input(BenchmarkId::new("decoy", width), &width, |bencher, _| {
             bencher.iter(|| align_packed(black_box(&decoy), black_box(&ps), black_box(band)));

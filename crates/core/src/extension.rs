@@ -91,7 +91,10 @@ impl ExtensionStage {
     pub(crate) fn extend(&self, read: &PackedSeq, positions: &[usize]) -> Option<Alignment> {
         let mut best: Option<Alignment> = None;
         for &origin in positions.iter().take(self.max_candidates) {
-            if origin + self.width > self.reference.len() {
+            let in_range = origin
+                .checked_add(self.width)
+                .is_some_and(|end| end <= self.reference.len());
+            if !in_range {
                 continue;
             }
             let segment = self.reference.segment(origin, self.width);
@@ -134,9 +137,10 @@ mod tests {
         let stage = ExtensionStage::new(&genome, 64, 4, ExtensionConfig::default());
         let read = PackedSeq::from_seq(&genome.window(300..364));
         // 200 is a real but worse origin; 300 is exact; 2_000 runs past the
-        // reference end and must be skipped, not panic.
+        // reference end and `usize::MAX - 3` overflows `origin + width`:
+        // both must be skipped, not panic.
         let alignment = stage
-            .extend(&read, &[200, 300, 2_000])
+            .extend(&read, &[200, 300, 2_000, usize::MAX - 3])
             .expect("exact origin aligns");
         assert_eq!(alignment.origin, 300);
         assert_eq!(alignment.score, 0);

@@ -161,64 +161,100 @@ pub fn edit_distance_banded_packed<A: PackedWords, B: PackedWords>(
 }
 
 /// Per-base match masks for the bit-parallel kernels: `peq[word][code]` has
-/// bit `i % 64` set iff `pattern[i]` equals the base with that code.
-fn build_peq(pattern: &[Base]) -> Vec<[u64; 4]> {
-    let words = pattern.len().div_ceil(64);
-    let mut peq = vec![[0u64; 4]; words];
-    for (i, &base) in pattern.iter().enumerate() {
-        peq[i / 64][base.code() as usize] |= 1u64 << (i % 64);
+/// bit `i % 64` set iff pattern base `i` has that 2-bit code.
+pub(crate) fn build_peq(codes: impl IntoIterator<Item = u8>) -> Vec<[u64; 4]> {
+    let mut peq: Vec<[u64; 4]> = Vec::new();
+    for (i, code) in codes.into_iter().enumerate() {
+        if i % 64 == 0 {
+            peq.push([0; 4]);
+        }
+        peq[i / 64][usize::from(code)] |= 1u64 << (i % 64);
     }
     peq
 }
 
-/// Core of the Myers/Hyyrö bit-parallel DP: processes the columns of the
-/// Levenshtein matrix for pattern `a` against text `b`, invoking `visit`
-/// with `D[m][j]` after every text position `j` (1-based). Returns the final
-/// score `D[m][n]`.
-fn myers_columns(a: &[Base], b: &[Base], mut visit: impl FnMut(usize)) -> usize {
-    debug_assert!(!a.is_empty());
-    let m = a.len();
-    let words = m.div_ceil(64);
-    let peq = build_peq(a);
-    let mut pv = vec![!0u64; words];
-    let mut mv = vec![0u64; words];
-    let mut score = m as isize;
-    let last_word = words - 1;
+/// One pattern word of a Myers/Hyyrö DP column: bit `r` of each field
+/// describes row `i = 64·w + r + 1` of text column `j`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnDeltas {
+    /// `D(i, j) − D(i−1, j) = +1`.
+    pub(crate) pv: u64,
+    /// `D(i, j) − D(i−1, j) = −1`.
+    pub(crate) mv: u64,
+    /// `D(i, j) − D(i, j−1) = +1` (the horizontal word before its shift).
+    pub(crate) ph: u64,
+    /// `D(i, j) − D(i, j−1) = −1`.
+    pub(crate) mh: u64,
+}
+
+impl ColumnDeltas {
+    /// Column 0, `D(i, 0) = i`: every vertical delta is +1, and there is no
+    /// column to its left.
+    pub(crate) const FIRST: Self = Self {
+        pv: !0,
+        mv: 0,
+        ph: 0,
+        mh: 0,
+    };
+}
+
+/// The Myers/Hyyrö bit-parallel column step, the one core every
+/// bit-parallel kernel here shares: from column `j − 1`'s deltas in `prev`
+/// to column `j`'s in `next`, for an `m`-base pattern with match masks
+/// `peq` (see [`build_peq`]) against text base `code`. Returns
+/// `D(m, j) − D(m, j−1)`.
+#[inline]
+pub(crate) fn myers_step(
+    peq: &[[u64; 4]],
+    m: usize,
+    code: u8,
+    prev: &[ColumnDeltas],
+    next: &mut [ColumnDeltas],
+) -> isize {
+    debug_assert!(m > 0 && peq.len() == m.div_ceil(64));
     let last_bit = (m - 1) % 64;
-    for &cb in b {
-        // Horizontal delta entering the top row; +1 because the first row of
-        // the global matrix is 0,1,2,... (this is what distinguishes the
-        // distance variant from Myers' search variant).
-        let mut hin: i32 = 1;
-        for w in 0..words {
-            let eq0 = peq[w][cb.code() as usize];
-            let xv = eq0 | mv[w];
-            let eq = eq0 | u64::from(hin < 0);
-            let xh = (((eq & pv[w]).wrapping_add(pv[w])) ^ pv[w]) | eq;
-            let mut ph = mv[w] | !(xh | pv[w]);
-            let mut mh = pv[w] & xh;
-            if w == last_word {
-                if (ph >> last_bit) & 1 == 1 {
-                    score += 1;
-                } else if (mh >> last_bit) & 1 == 1 {
-                    score -= 1;
-                }
-            }
-            let hout: i32 = i32::from((ph >> 63) & 1 == 1) - i32::from((mh >> 63) & 1 == 1);
-            ph <<= 1;
-            mh <<= 1;
-            if hin > 0 {
-                ph |= 1;
-            } else if hin < 0 {
-                mh |= 1;
-            }
-            pv[w] = mh | !(xv | ph);
-            mv[w] = ph & xv;
-            hin = hout;
-        }
-        visit(score as usize);
+    let mut last_delta = 0;
+    // Horizontal delta entering the top row; +1 because the first row of
+    // the global matrix is 0,1,2,... (this is what distinguishes the
+    // distance variant from Myers' search variant).
+    let mut hin: i32 = 1;
+    for ((masks, from), to) in peq.iter().zip(prev).zip(next.iter_mut()) {
+        let (pv, mv) = (from.pv, from.mv);
+        let eq0 = masks[usize::from(code)];
+        let xv = eq0 | mv;
+        let eq = eq0 | u64::from(hin < 0);
+        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
+        let ph = mv | !(xh | pv);
+        let mh = pv & xh;
+        last_delta = ((ph >> last_bit) & 1) as isize - ((mh >> last_bit) & 1) as isize;
+        let hout: i32 = i32::from((ph >> 63) & 1 == 1) - i32::from((mh >> 63) & 1 == 1);
+        let ph_in = (ph << 1) | u64::from(hin > 0);
+        let mh_in = (mh << 1) | u64::from(hin < 0);
+        *to = ColumnDeltas {
+            pv: mh_in | !(xv | ph_in),
+            mv: ph_in & xv,
+            ph,
+            mh,
+        };
+        hin = hout;
     }
-    score as usize
+    last_delta
+}
+
+/// Runs [`myers_step`] over the whole text for pattern `a`, invoking
+/// `visit` with `D[m][j]` after every text position `j` (1-based). Returns
+/// the final score `D[m][n]`.
+fn myers_columns(a: &[Base], b: &[Base], mut visit: impl FnMut(usize)) -> usize {
+    let peq = build_peq(codes(a));
+    let mut prev = vec![ColumnDeltas::FIRST; peq.len()];
+    let mut next = prev.clone();
+    let mut score = a.len();
+    for code in codes(b) {
+        score = score.wrapping_add_signed(myers_step(&peq, a.len(), code, &prev, &mut next));
+        std::mem::swap(&mut prev, &mut next);
+        visit(score);
+    }
+    score
 }
 
 /// Global Levenshtein distance via the Myers/Hyyrö bit-parallel algorithm.
@@ -235,6 +271,11 @@ pub fn edit_distance_myers(a: &[Base], b: &[Base]) -> usize {
         return a.len();
     }
     myers_columns(a, b, |_| {})
+}
+
+/// The 2-bit codes of a base slice.
+fn codes(bases: &[Base]) -> impl Iterator<Item = u8> + '_ {
+    bases.iter().map(|base| base.code())
 }
 
 /// Anchored semi-global distance: `read` must align end-to-end, starting at
