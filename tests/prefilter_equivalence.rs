@@ -14,7 +14,9 @@
 //!   noise only matters at the decision boundary).
 
 use asmcap::{AsmcapPipeline, BackendKind, MapRecord, MapStatus, PipelineConfig, PrefilterConfig};
-use asmcap_genome::{DnaSeq, ErrorProfile, GenomeModel, PackedSeq, ReadSampler};
+use asmcap_genome::{
+    DnaSeq, ErrorProfile, GenomeModel, PackedRef, PackedSeq, PrefilterIndex, ReadSampler,
+};
 
 const WIDTH: usize = 128;
 
@@ -113,6 +115,104 @@ fn prefilter_off_matches_pr3_golden_capture() {
             fingerprint(&records),
             golden,
             "{kind:?}/condition {condition} drifted from the PR 3 capture"
+        );
+    }
+}
+
+/// Golden fingerprints of prefilter-on `map_batch` on the device backend
+/// over the canonical workload (default prefilter knobs), captured before
+/// the k-mer index moved to packed 8-byte entries: the index layout must
+/// not move a single record.
+const PREFILTER_ON_GOLDEN: [(&str, u64); 2] =
+    [("A", 0x97C7_F474_B71F_5040), ("B", 0x41EE_4C70_A6C3_858C)];
+
+/// Golden [`shortlist_fingerprint`]s per `(k, stride)`, captured before the
+/// k-mer index moved to packed 8-byte entries.
+const SHORTLIST_GOLDEN: [(usize, usize, u64); 6] = [
+    (12, 1, 0xB112_A9B4_3BBB_4C78),
+    (12, 8, 0xDEE5_6908_AFAC_470A),
+    (16, 1, 0xE196_91F3_490B_CB59),
+    (16, 8, 0xBE7E_FC9E_F5D9_A8CE),
+    (32, 1, 0x4829_5543_C415_234F),
+    (32, 8, 0x681C_383A_53C0_6460),
+];
+
+/// FNV-1a over every read's shortlist: each ranked `(start, votes)` pair
+/// in rank order, the list length, and the full-scan flag.
+fn shortlist_fingerprint(index: &PrefilterIndex, reads: &[PackedSeq]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    for read in reads {
+        let shortlist = index.shortlist(read);
+        mix(u64::from(shortlist.is_full_scan()));
+        mix(shortlist.len() as u64);
+        for &(start, votes) in shortlist.ranked() {
+            mix(start as u64);
+            mix(votes as u64);
+        }
+    }
+    h
+}
+
+/// Every shortlist on a 64 kbase reference — condition-A reads,
+/// condition-B reads and foreign reads, at stride 1 and at the pipeline's
+/// stride-8 geometry, for k ∈ {12, 16, 32} — is byte-identical to the
+/// golden capture.
+#[test]
+fn shortlists_match_golden_capture() {
+    let genome = GenomeModel::uniform().generate(65_536, 19);
+    let reference = PackedRef::new(&genome);
+    let mut reads: Vec<PackedSeq> = Vec::new();
+    for (profile, seed) in [
+        (ErrorProfile::condition_a(), 61),
+        (ErrorProfile::condition_b(), 62),
+    ] {
+        let sampler = ReadSampler::new(WIDTH, profile);
+        reads.extend(
+            sampler
+                .sample_many(&genome, 48, seed)
+                .iter()
+                .map(|r| PackedSeq::from_seq(&r.bases)),
+        );
+    }
+    let foreign = GenomeModel::uniform().generate(16 * WIDTH, 63);
+    reads.extend((0..16).map(|i| PackedSeq::from_seq(&foreign.window(i * WIDTH..(i + 1) * WIDTH))));
+    let mut drifted = Vec::new();
+    for (k, stride, golden) in SHORTLIST_GOLDEN {
+        let config = PrefilterConfig {
+            k,
+            ..PrefilterConfig::default()
+        };
+        let index = PrefilterIndex::new(&reference, WIDTH, stride, config).expect("valid config");
+        let got = shortlist_fingerprint(&index, &reads);
+        if got != golden {
+            drifted.push(format!("(k {k}, stride {stride}): {got:#018X}"));
+        }
+    }
+    assert!(drifted.is_empty(), "shortlists drifted: {drifted:?}");
+}
+
+/// Prefilter on ⇒ the device backend's records are byte-identical to the
+/// golden capture, for both error conditions.
+#[test]
+fn prefilter_on_device_records_match_golden_capture() {
+    let genome = GenomeModel::uniform().generate(16_384, 21);
+    for (condition, golden) in PREFILTER_ON_GOLDEN {
+        let (profile, _) = profile_for(condition);
+        let reads = workload(&genome, profile);
+        let pre = pipeline(
+            &genome,
+            BackendKind::Device,
+            condition,
+            Some(PrefilterConfig::default()),
+        );
+        let got = fingerprint(&pre.map_batch(&reads));
+        assert_eq!(
+            got, golden,
+            "condition {condition}: prefilter-on device records drifted ({got:#018X})"
         );
     }
 }
