@@ -75,8 +75,7 @@ impl ResmaAccelerator {
         kmers(read, k).any(|(read_pos, code)| {
             index
                 .positions_of_code(code)
-                .iter()
-                .any(|&p| p.abs_diff(read_pos) <= threshold)
+                .any(|p| p.abs_diff(read_pos) <= threshold)
         })
     }
 
@@ -101,8 +100,7 @@ impl ResmaAccelerator {
         packed_kmers(read, k).any(|(read_pos, code)| {
             index
                 .positions_of_code(code)
-                .iter()
-                .any(|&p| p.abs_diff(read_pos) <= threshold)
+                .any(|p| p.abs_diff(read_pos) <= threshold)
         })
     }
 

@@ -90,7 +90,7 @@ impl SaviAccelerator {
         for seed_idx in 0..self.seed_count(read.len()) {
             let read_pos = seed_idx * k;
             let seed = pack_kmer(&read[read_pos..read_pos + k]);
-            for &segment_pos in index.positions_of_code(seed) {
+            for segment_pos in index.positions_of_code(seed) {
                 let offset = segment_pos as isize - read_pos as isize;
                 *votes.entry(offset).or_insert(0) += 1;
             }
@@ -120,7 +120,7 @@ impl SaviAccelerator {
         // Non-overlapping seeds sit at read positions 0, k, 2k, …: keep
         // exactly those codes from the rolling packed scan.
         for (read_pos, seed) in packed_kmers(read, k).filter(|(pos, _)| pos % k == 0) {
-            for &segment_pos in index.positions_of_code(seed) {
+            for segment_pos in index.positions_of_code(seed) {
                 let offset = segment_pos as isize - read_pos as isize;
                 *votes.entry(offset).or_insert(0) += 1;
             }

@@ -1137,7 +1137,7 @@ mod tests {
             .unwrap_err();
             assert_eq!(
                 err,
-                PipelineError::BadPrefilter(PrefilterError::BadK(KmerError { k }))
+                PipelineError::BadPrefilter(PrefilterError::Index(KmerError::BadK { k }))
             );
             assert!(err.to_string().contains("1..=32"), "{err}");
         }

@@ -1,36 +1,77 @@
 //! k-mer extraction and indexing.
 //!
 //! Several systems in the reproduction are built on exact k-mer lookup: the
-//! SaVI seed-and-vote baseline, ReSMA's CAM pre-filter, the Kraken2-style
-//! classifier, and the long-read fragment voter. They share this index.
+//! mapping prefilter, the SaVI seed-and-vote baseline, ReSMA's CAM
+//! pre-filter, the Kraken2-style classifier, and the long-read fragment
+//! voter. They share this index.
 //!
 //! k-mers are packed into a `u64` (2 bits/base, `k ≤ 32`). [`KmerIndex`]
-//! keeps every `(code, position)` pair in one flat array sorted by code, so
-//! a lookup is one directory probe plus a binary search inside a bucket of
-//! about one entry — no hashing, no per-code allocation.
+//! is one radix directory of `u32` offsets over one flat array of 8-byte
+//! entries sorted ascending, so a lookup costs two memory accesses — a
+//! directory slot, then a bucket of about one entry — with no hashing and
+//! no per-code allocation.
+//!
+//! # Entry layout
+//!
+//! For `n` indexed k-mers, positions take `pos_bits = ⌈log2 n⌉` bits. The
+//! top `b` bits of a `2k`-bit code pick a directory bucket, with
+//!
+//! ```text
+//! b = min(2k, max(⌊log2 n⌋, 2k + pos_bits − 64))
+//! ```
+//!
+//! and each entry stores the rest of the code above the position:
+//! `entry = code_suffix << pos_bits | position`, where `code_suffix` is the
+//! code's low `2k − b` bits. The bucket plus the suffix give back the whole
+//! code, so the index is exact. The sizing rule keeps both fields in 64
+//! bits for every `k` in `1..=32`: `b ≥ 2k + pos_bits − 64` means
+//! `(2k − b) + pos_bits ≤ 64`, and `b ≤ 2k` always holds because
+//! `pos_bits ≤ 32`. The `⌊log2 n⌋` term gives about one directory slot per
+//! k-mer (a bucket of about one entry); the `2k + pos_bits − 64` term only
+//! binds at `k` near 32 and `n` near 2^32, and never exceeds `pos_bits`,
+//! so the directory stays under `2n + 2` slots. Sorting the entries as plain
+//! `u64`s sorts each bucket by `(code, position)`.
+//!
+//! Offsets and positions are 32-bit, so a sequence of 2^32 or more bases
+//! is rejected with [`KmerError::TooLong`] before anything is allocated.
 
 use crate::base::Base;
 use crate::packed::{PackedWords, BASES_PER_WORD};
 use std::fmt;
+use std::ops::Range;
 
 /// A 2-bit-packed k-mer code. Only meaningful together with its length.
 pub type KmerCode = u64;
 
-/// A k-mer length outside the supported `1..=32` range (codes are packed
-/// into a `u64` at 2 bits per base, so 32 is the hard ceiling).
+/// Why a k-mer length or a [`KmerIndex`] was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KmerError {
-    /// The rejected k-mer length.
-    pub k: usize,
+pub enum KmerError {
+    /// A k-mer length outside the supported `1..=32` range (codes are
+    /// packed into a `u64` at 2 bits per base, so 32 is the hard ceiling).
+    BadK {
+        /// The rejected k-mer length.
+        k: usize,
+    },
+    /// A sequence of 2^32 or more bases: [`KmerIndex`] offsets and
+    /// positions are 32-bit.
+    TooLong {
+        /// The rejected sequence length in bases.
+        len: u64,
+    },
 }
 
 impl fmt::Display for KmerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "k-mer length {} is unsupported (k must be in 1..=32)",
-            self.k
-        )
+        match self {
+            KmerError::BadK { k } => write!(
+                f,
+                "k-mer length {k} is unsupported (k must be in 1..=32)"
+            ),
+            KmerError::TooLong { len } => write!(
+                f,
+                "a {len}-base sequence is too long to index (the k-mer index holds under 2^32 bases)"
+            ),
+        }
     }
 }
 
@@ -40,15 +81,14 @@ impl std::error::Error for KmerError {}
 ///
 /// # Errors
 ///
-/// Returns [`KmerError`] unless `k` is in `1..=32`.
+/// Returns [`KmerError::BadK`] unless `k` is in `1..=32`.
 pub fn check_k(k: usize) -> Result<(), KmerError> {
     if (1..=32).contains(&k) {
         Ok(())
     } else {
-        Err(KmerError { k })
+        Err(KmerError::BadK { k })
     }
 }
-
 /// Packs `bases` (length ≤ 32) into a [`KmerCode`].
 ///
 /// # Panics
@@ -128,13 +168,68 @@ pub fn packed_kmers<S: PackedWords + ?Sized>(
     })
 }
 
+/// How a [`KmerIndex`] splits each code between its directory and its
+/// entries (see the [module docs](self) for the sizing rule).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
+    /// Code bits the directory consumes: `b`.
+    dir_bits: u32,
+    /// Code bits each entry keeps above its position: `2k − b`.
+    suffix_bits: u32,
+    /// Position bits at the bottom of each entry: `⌈log2 n⌉`.
+    pos_bits: u32,
+}
+
+impl Layout {
+    /// The layout of an index over every k-mer of a `len`-base sequence.
+    /// Pure arithmetic: nothing is allocated, so the limits can be checked
+    /// (and tested) for sequences far larger than memory.
+    fn new(k: usize, len: u64) -> Result<Self, KmerError> {
+        check_k(k)?;
+        if len > u64::from(u32::MAX) {
+            return Err(KmerError::TooLong { len });
+        }
+        let code_bits = 2 * k as u32;
+        let n = (len + 1).saturating_sub(k as u64);
+        let pos_bits = match n {
+            0 | 1 => 0,
+            n => (n - 1).ilog2() + 1,
+        };
+        let floor_log = n.checked_ilog2().unwrap_or(0);
+        let dir_bits = code_bits.min(floor_log.max((code_bits + pos_bits).saturating_sub(64)));
+        Ok(Self {
+            dir_bits,
+            suffix_bits: code_bits - dir_bits,
+            pos_bits,
+        })
+    }
+
+    /// The directory bucket of `code`: its top `dir_bits` code bits
+    /// (bucket 0 when the suffix spans the whole word, i.e. a one-bucket
+    /// directory at `k = 32`).
+    fn bucket(self, code: KmerCode) -> usize {
+        usize::try_from(code.checked_shr(self.suffix_bits).unwrap_or(0)).unwrap_or(usize::MAX)
+    }
+
+    /// The code bits an entry keeps: everything below the bucket.
+    fn suffix(self, code: KmerCode) -> u64 {
+        code & u64::MAX.checked_shr(64 - self.suffix_bits).unwrap_or(0)
+    }
+
+    /// Mask of an entry's position field.
+    fn pos_mask(self) -> u64 {
+        (1u64 << self.pos_bits) - 1
+    }
+}
+
 /// An exact-match k-mer index over one sequence.
 ///
-/// One flat array of k-mer codes sorted ascending (ties in position
-/// order) with a parallel array of start positions, fronted by a radix
-/// directory over the codes' top bits. The directory has about one slot
-/// per indexed k-mer — never `4^k` — so a short segment indexed at
-/// `k = 32` stays as small as its k-mer count.
+/// One flat array of 8-byte entries, `code_suffix << pos_bits | position`,
+/// sorted ascending, fronted by a `u32` radix directory over the codes' top
+/// bits (layout and sizing in the [module docs](self)). The directory has
+/// about one slot per indexed k-mer — never `4^k` — so a short segment
+/// indexed at `k = 32` stays as small as its k-mer count, and a lookup is
+/// one directory slot plus one entry run.
 ///
 /// # Examples
 ///
@@ -143,35 +238,55 @@ pub fn packed_kmers<S: PackedWords + ?Sized>(
 /// let reference: DnaSeq = "ACGTACGTAC".parse()?;
 /// let index = KmerIndex::build(reference.as_slice(), 4)?;
 /// let query: DnaSeq = "GTAC".parse()?;
-/// assert_eq!(index.positions_of(query.as_slice()), &[2, 6]);
+/// assert!(index.positions_of(query.as_slice()).eq([2, 6]));
 /// assert!(index.contains(query.as_slice()));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct KmerIndex {
     k: usize,
-    /// Every indexed k-mer's code, ascending.
-    codes: Vec<KmerCode>,
-    /// The start position of `codes[i]`, ascending within one code.
-    positions: Vec<usize>,
-    /// `directory[b]..directory[b + 1]` is the run of `codes` whose top
-    /// bits (`code >> shift`) equal `b`.
-    directory: Vec<usize>,
-    shift: u32,
+    layout: Layout,
+    /// `code_suffix << pos_bits | position` for every indexed k-mer,
+    /// ascending: by bucket, then code, then position.
+    entries: Vec<u64>,
+    /// `directory[b]..directory[b + 1]` is the run of `entries` whose
+    /// code's top bits equal `b`.
+    directory: Vec<u32>,
     distinct: usize,
 }
+
+/// The start positions of one k-mer in a [`KmerIndex`], ascending.
+#[derive(Debug, Clone)]
+pub struct Positions<'a> {
+    entries: std::slice::Iter<'a, u64>,
+    pos_mask: u64,
+}
+
+impl Iterator for Positions<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        // A position field is at most 32 bits wide, so it always fits.
+        self.entries.next().map(|&e| (e & self.pos_mask) as usize)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Positions<'_> {}
 
 impl KmerIndex {
     /// Indexes every overlapping k-mer of `seq`.
     ///
     /// # Errors
     ///
-    /// Returns [`KmerError`] if `k` is zero or greater than 32 (it used to
-    /// panic; the pipeline's prefilter takes `k` from user configuration,
-    /// so the failure must be reportable).
+    /// Returns [`KmerError::BadK`] if `k` is zero or greater than 32, and
+    /// [`KmerError::TooLong`] for a sequence of 2^32 or more bases.
     pub fn build(seq: &[Base], k: usize) -> Result<Self, KmerError> {
-        check_k(k)?;
-        Ok(Self::from_scan(k, || kmers(seq, k)))
+        let layout = Layout::new(k, seq.len() as u64)?;
+        Ok(Self::from_scan(k, layout, || kmers(seq, k)))
     }
 
     /// [`KmerIndex::build`] over a 2-bit packed sequence, extracting every
@@ -180,64 +295,52 @@ impl KmerIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`KmerError`] if `k` is zero or greater than 32.
+    /// As [`KmerIndex::build`].
     pub fn build_packed<S: PackedWords + ?Sized>(seq: &S, k: usize) -> Result<Self, KmerError> {
-        check_k(k)?;
-        Ok(Self::from_scan(k, || packed_kmers(seq, k)))
+        let layout = Layout::new(k, seq.len() as u64)?;
+        Ok(Self::from_scan(k, layout, || packed_kmers(seq, k)))
     }
 
     /// Builds the index from a rolling k-mer scan, run twice: once to
-    /// count each directory bucket, once to scatter the pairs into place
-    /// (a counting sort on the top code bits). The scan yields positions
-    /// ascending, so each bucket is already in position order; a bucket
-    /// holding several codes is then sorted by `(code, position)`.
-    fn from_scan<I: Iterator<Item = (usize, KmerCode)>>(k: usize, scan: impl Fn() -> I) -> Self {
-        let n = scan().count();
-        let code_bits = 2 * k as u32;
-        let bits = n.checked_ilog2().unwrap_or(0).min(code_bits);
-        let shift = code_bits - bits;
-        let mut directory = vec![0usize; (1usize << bits) + 1];
+    /// count each directory bucket, once to scatter the entries into place
+    /// (a counting sort on the top code bits). A bucket holding several
+    /// codes is then sorted as plain `u64`s, which is `(code, position)`
+    /// order.
+    fn from_scan<I: Iterator<Item = (usize, KmerCode)>>(
+        k: usize,
+        layout: Layout,
+        scan: impl Fn() -> I,
+    ) -> Self {
+        let mut directory = vec![0u32; (1usize << layout.dir_bits) + 1];
         for (_, code) in scan() {
-            directory[bucket(code, shift) + 1] += 1;
+            directory[layout.bucket(code) + 1] += 1;
         }
         for b in 1..directory.len() {
             directory[b] += directory[b - 1];
         }
+        let n = directory.last().map_or(0, |&n| n as usize);
         let mut cursor = directory.clone();
-        let mut codes = vec![0; n];
-        let mut positions = vec![0; n];
+        let mut entries = vec![0u64; n];
         for (pos, code) in scan() {
-            let slot = &mut cursor[bucket(code, shift)];
-            codes[*slot] = code;
-            positions[*slot] = pos;
+            let slot = &mut cursor[layout.bucket(code)];
+            entries[*slot as usize] = (layout.suffix(code) << layout.pos_bits) | pos as u64;
             *slot += 1;
         }
-        let mut run: Vec<(KmerCode, usize)> = Vec::new();
+        let mut distinct = 0;
         for b in 1..directory.len() {
-            let (lo, hi) = (directory[b - 1], directory[b]);
-            if codes[lo..hi].is_sorted() {
-                continue;
+            let run = &mut entries[directory[b - 1] as usize..directory[b] as usize];
+            if !run.is_sorted() {
+                run.sort_unstable();
             }
-            run.clear();
-            run.extend(
-                codes[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(positions[lo..hi].iter().copied()),
-            );
-            run.sort_unstable();
-            for (i, &(code, pos)) in run.iter().enumerate() {
-                codes[lo + i] = code;
-                positions[lo + i] = pos;
-            }
+            distinct += run
+                .chunk_by(|a, b| a >> layout.pos_bits == b >> layout.pos_bits)
+                .count();
         }
-        let distinct = codes.chunk_by(|a, b| a == b).count();
         Self {
             k,
-            codes,
-            positions,
+            layout,
+            entries,
             directory,
-            shift,
             distinct,
         }
     }
@@ -251,13 +354,13 @@ impl KmerIndex {
     /// Number of k-mers indexed (with multiplicity).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.codes.len()
+        self.entries.len()
     }
 
     /// Whether the index is empty (sequence shorter than `k`).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
+        self.entries.is_empty()
     }
 
     /// Number of *distinct* k-mers.
@@ -272,7 +375,7 @@ impl KmerIndex {
     ///
     /// Panics if `kmer.len() != k`.
     #[must_use]
-    pub fn positions_of(&self, kmer: &[Base]) -> &[usize] {
+    pub fn positions_of(&self, kmer: &[Base]) -> Positions<'_> {
         assert_eq!(kmer.len(), self.k, "query length must equal the indexed k");
         self.positions_of_code(pack_kmer(kmer))
     }
@@ -280,18 +383,60 @@ impl KmerIndex {
     /// All start positions of a packed k-mer code, ascending (empty if
     /// absent, including for codes wider than `2k` bits).
     #[must_use]
-    pub fn positions_of_code(&self, code: KmerCode) -> &[usize] {
-        let b = bucket(code, self.shift);
-        let (Some(&lo), Some(&hi)) = (
-            self.directory.get(b),
-            self.directory.get(b.saturating_add(1)),
-        ) else {
-            return &[];
-        };
-        let run = &self.codes[lo..hi];
-        let start = lo + run.partition_point(|&c| c < code);
-        let end = lo + run.partition_point(|&c| c <= code);
-        &self.positions[start..end]
+    pub fn positions_of_code(&self, code: KmerCode) -> Positions<'_> {
+        let bucket = self.bucket_run(code);
+        self.positions_in(self.narrow(bucket, code))
+    }
+
+    /// Looks up many codes at once, in two phases: every code's directory
+    /// slot is read first, then every entry run is searched. The accesses
+    /// inside a phase are independent, so their cache misses overlap
+    /// instead of chaining slot → entries → next slot.
+    ///
+    /// Leaves `runs[i]` holding the entries of `codes[i]`; read them back
+    /// with [`KmerIndex::positions_in`].
+    pub fn runs_of_codes(&self, codes: &[KmerCode], runs: &mut Vec<Range<usize>>) {
+        runs.clear();
+        runs.extend(codes.iter().map(|&code| self.bucket_run(code)));
+        for (run, &code) in runs.iter_mut().zip(codes) {
+            *run = self.narrow(run.clone(), code);
+        }
+    }
+
+    /// The start positions held by a run of entries from
+    /// [`KmerIndex::runs_of_codes`], ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `run` is out of bounds.
+    #[must_use]
+    pub fn positions_in(&self, run: Range<usize>) -> Positions<'_> {
+        Positions {
+            entries: self.entries[run].iter(),
+            pos_mask: self.layout.pos_mask(),
+        }
+    }
+
+    /// The directory bucket of `code` as a range of entries (empty for a
+    /// code wider than `2k` bits). Reads the directory only.
+    fn bucket_run(&self, code: KmerCode) -> Range<usize> {
+        let code_bits = self.layout.dir_bits + self.layout.suffix_bits;
+        if code.checked_shr(code_bits).unwrap_or(0) != 0 {
+            return 0..0;
+        }
+        let b = self.layout.bucket(code);
+        self.directory[b] as usize..self.directory[b + 1] as usize
+    }
+
+    /// The entries of `code` inside its bucket's run. Reads the entries
+    /// only.
+    fn narrow(&self, bucket: Range<usize>, code: KmerCode) -> Range<usize> {
+        let suffix = self.layout.suffix(code);
+        let pos_bits = self.layout.pos_bits;
+        let run = &self.entries[bucket.clone()];
+        let lo = run.partition_point(|&e| e >> pos_bits < suffix);
+        let hi = lo + run[lo..].partition_point(|&e| e >> pos_bits == suffix);
+        bucket.start + lo..bucket.start + hi
     }
 
     /// Whether the exact k-mer occurs at least once.
@@ -301,7 +446,7 @@ impl KmerIndex {
     /// Panics if `kmer.len() != k`.
     #[must_use]
     pub fn contains(&self, kmer: &[Base]) -> bool {
-        !self.positions_of(kmer).is_empty()
+        self.positions_of(kmer).next().is_some()
     }
 
     /// Slots in the radix directory (one more than its bucket count).
@@ -311,22 +456,20 @@ impl KmerIndex {
     }
 }
 
-/// The directory bucket of `code`: its bits above `shift` (bucket 0 when
-/// the shift spans the whole word, i.e. a one-bucket directory at `k = 32`).
-fn bucket(code: KmerCode, shift: u32) -> usize {
-    usize::try_from(code.checked_shr(shift).unwrap_or(0)).unwrap_or(usize::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::seq::DnaSeq;
     use crate::synth::GenomeModel;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn seq(s: &str) -> DnaSeq {
         s.parse().expect("valid test sequence")
+    }
+
+    fn positions(index: &KmerIndex, code: KmerCode) -> Vec<usize> {
+        index.positions_of_code(code).collect()
     }
 
     #[test]
@@ -359,8 +502,9 @@ mod tests {
     fn index_reports_positions_in_order() {
         let s = seq("ACGTACGTAC");
         let index = KmerIndex::build(s.as_slice(), 4).unwrap();
-        assert_eq!(index.positions_of(seq("ACGT").as_slice()), &[0, 4]);
-        assert_eq!(index.positions_of(seq("GTAC").as_slice()), &[2, 6]);
+        assert!(index.positions_of(seq("ACGT").as_slice()).eq([0, 4]));
+        assert!(index.positions_of(seq("GTAC").as_slice()).eq([2, 6]));
+        assert_eq!(index.positions_of(seq("GTAC").as_slice()).len(), 2);
         assert!(!index.contains(seq("TTTT").as_slice()));
         assert_eq!(index.len(), 7);
     }
@@ -370,11 +514,11 @@ mod tests {
         let genome = GenomeModel::uniform().generate(100, 1);
         let index = KmerIndex::build(genome.as_slice(), 32).unwrap();
         let window = &genome.as_slice()[10..42];
-        assert!(index.positions_of(window).contains(&10));
+        assert!(index.positions_of(window).any(|p| p == 10));
         // The packed builder agrees at the boundary too.
         let packed = crate::PackedSeq::from_seq(&genome);
         let via_packed = KmerIndex::build_packed(&packed, 32).unwrap();
-        assert!(via_packed.positions_of(window).contains(&10));
+        assert!(via_packed.positions_of(window).any(|p| p == 10));
         assert_eq!(via_packed.len(), index.len());
     }
 
@@ -384,61 +528,132 @@ mod tests {
         for k in [0usize, 33, 64] {
             assert_eq!(
                 KmerIndex::build(genome.as_slice(), k).unwrap_err(),
-                KmerError { k }
+                KmerError::BadK { k }
             );
             let packed = crate::PackedSeq::from_seq(&genome);
             assert_eq!(
                 KmerIndex::build_packed(&packed, k).unwrap_err(),
-                KmerError { k }
+                KmerError::BadK { k }
             );
         }
-        assert!(KmerError { k: 33 }.to_string().contains("1..=32"));
+        assert!(KmerError::BadK { k: 33 }.to_string().contains("1..=32"));
         assert!(check_k(32).is_ok());
         assert!(check_k(1).is_ok());
     }
 
-    /// A hash-map index: the reference for [`KmerIndex`] lookups.
-    fn hashmap_oracle(seq: &[Base], k: usize) -> HashMap<KmerCode, Vec<usize>> {
-        let mut by_code: HashMap<KmerCode, Vec<usize>> = HashMap::new();
-        for (pos, code) in kmers(seq, k) {
-            by_code.entry(code).or_default().push(pos);
+    #[test]
+    fn layout_rejects_sequences_of_2_pow_32_bases() {
+        let limit = 1u64 << 32;
+        for k in 1..=32usize {
+            assert!(Layout::new(k, limit - 1).is_ok(), "k={k}");
+            assert_eq!(
+                Layout::new(k, limit),
+                Err(KmerError::TooLong { len: limit }),
+                "k={k}"
+            );
+            assert_eq!(
+                Layout::new(k, u64::MAX),
+                Err(KmerError::TooLong { len: u64::MAX })
+            );
+        }
+        // A bad k is reported first, however long the sequence.
+        assert_eq!(Layout::new(33, u64::MAX), Err(KmerError::BadK { k: 33 }));
+        assert!(KmerError::TooLong { len: limit }
+            .to_string()
+            .contains("too long"));
+    }
+
+    #[test]
+    fn layout_boundary_values() {
+        let layout = |k, len| Layout::new(k, len).unwrap();
+        let fields = |l: Layout| (l.dir_bits, l.suffix_bits, l.pos_bits);
+        // Empty, one and two k-mers.
+        assert_eq!(fields(layout(12, 0)), (0, 24, 0));
+        assert_eq!(fields(layout(12, 12)), (0, 24, 0));
+        assert_eq!(fields(layout(12, 13)), (1, 23, 1));
+        assert_eq!(fields(layout(32, 32)), (0, 64, 0));
+        // 2^20 k-mers at k = 12: one slot per k-mer, 4 suffix bits.
+        assert_eq!(fields(layout(12, (1 << 20) + 11)), (20, 4, 20));
+        assert_eq!(fields(layout(12, (1 << 20) + 12)), (20, 4, 21));
+        // The largest index: the 64-bit budget, not ⌊log2 n⌋, sets b at k = 32.
+        assert_eq!(fields(layout(32, u64::from(u32::MAX))), (32, 32, 32));
+        assert_eq!(fields(layout(32, (1 << 31) + 32)), (32, 32, 32));
+        assert_eq!(fields(layout(32, (1 << 31) + 31)), (31, 33, 31));
+        assert_eq!(fields(layout(16, u64::from(u32::MAX))), (31, 1, 32));
+        assert_eq!(fields(layout(1, u64::from(u32::MAX))), (2, 0, 32));
+    }
+
+    #[test]
+    fn layout_fits_64_bits_and_is_exact_for_every_k() {
+        let mut lens: Vec<u64> = vec![0, 1, 2, 3, u64::from(u32::MAX)];
+        for m in 0..32 {
+            for delta in [-1i64, 0, 1] {
+                lens.push((1u64 << m).saturating_add_signed(delta));
+            }
+        }
+        for k in 1..=32usize {
+            for &len in &lens {
+                for len in [len, len + k as u64 - 1] {
+                    let Ok(l) = Layout::new(k, len) else {
+                        assert!(len > u64::from(u32::MAX));
+                        continue;
+                    };
+                    let n = (len + 1).saturating_sub(k as u64);
+                    let ctx = format!("k={k} len={len}");
+                    // The bucket and the suffix together hold the whole code.
+                    assert_eq!(l.dir_bits + l.suffix_bits, 2 * k as u32, "{ctx}");
+                    // Both entry fields fit one u64.
+                    assert!(l.suffix_bits + l.pos_bits <= 64, "{ctx}");
+                    // Every position fits its field, and the field is minimal.
+                    assert!(n <= 1u64 << l.pos_bits, "{ctx}");
+                    assert!(l.pos_bits == 0 || n > 1u64 << (l.pos_bits - 1), "{ctx}");
+                    // The directory stays under two slots per k-mer.
+                    assert!((1u64 << l.dir_bits) <= (2 * n).max(1), "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// A naive ordered index: the reference for [`KmerIndex`] lookups.
+    fn btreemap_oracle(seq: &[Base], k: usize) -> BTreeMap<KmerCode, Vec<usize>> {
+        let mut by_code: BTreeMap<KmerCode, Vec<usize>> = BTreeMap::new();
+        for pos in 0..(seq.len() + 1).saturating_sub(k) {
+            by_code
+                .entry(pack_kmer(&seq[pos..pos + k]))
+                .or_default()
+                .push(pos);
         }
         by_code
     }
 
-    /// Every lookup the oracle can answer, plus absent codes, agrees.
+    /// Every lookup the oracle can answer, plus absent codes, agrees — one
+    /// code at a time and through the phased batch lookup.
     fn assert_matches_oracle(seq: &[Base], k: usize) {
         let index = KmerIndex::build(seq, k).unwrap();
-        let oracle = hashmap_oracle(seq, k);
+        let oracle = btreemap_oracle(seq, k);
         assert_eq!(index.len(), (seq.len() + 1).saturating_sub(k), "k={k}");
         assert_eq!(index.distinct(), oracle.len(), "k={k}");
         assert_eq!(index.is_empty(), oracle.is_empty());
-        for (&code, positions) in &oracle {
-            assert_eq!(index.positions_of_code(code), positions.as_slice(), "k={k}");
-        }
-        // Absent codes: neighbours of present ones, and codes wider than 2k.
-        for probe in [0, 1, 2, 3, 0x5555, u64::MAX, u64::MAX - 1, 1 << 40] {
-            let expected = oracle.get(&probe).map_or(&[][..], Vec::as_slice);
-            assert_eq!(
-                index.positions_of_code(probe),
-                expected,
-                "k={k} probe={probe:#x}"
-            );
-        }
+        let mut probes: Vec<KmerCode> = vec![0, 1, 2, 3, 0x5555, u64::MAX, u64::MAX - 1, 1 << 40];
         for &code in oracle.keys() {
-            for probe in [code.wrapping_add(1), code.wrapping_sub(1)] {
-                let expected = oracle.get(&probe).map_or(&[][..], Vec::as_slice);
-                assert_eq!(index.positions_of_code(probe), expected);
-            }
+            probes.extend([code, code.wrapping_add(1), code.wrapping_sub(1)]);
+        }
+        let mut runs = Vec::new();
+        index.runs_of_codes(&probes, &mut runs);
+        assert_eq!(runs.len(), probes.len());
+        for (&probe, run) in probes.iter().zip(runs) {
+            let expected = oracle.get(&probe).map_or(&[][..], Vec::as_slice);
+            assert_eq!(positions(&index, probe), expected, "k={k} probe={probe:#x}");
+            assert!(index.positions_in(run).eq(expected.iter().copied()));
         }
         let packed = crate::PackedSeq::from_seq(&seq.iter().copied().collect::<DnaSeq>());
         let via_packed = KmerIndex::build_packed(&packed, k).unwrap();
-        assert_eq!(via_packed.codes, index.codes);
-        assert_eq!(via_packed.positions, index.positions);
+        assert_eq!(via_packed.entries, index.entries);
+        assert_eq!(via_packed.directory, index.directory);
     }
 
     #[test]
-    fn flat_index_matches_the_hashmap_oracle() {
+    fn flat_index_matches_the_btreemap_oracle() {
         let random = GenomeModel::uniform().generate(3_000, 11);
         let homopolymer = seq(&"A".repeat(300));
         let dinucleotide = seq(&"CA".repeat(200));
@@ -457,13 +672,27 @@ mod tests {
     }
 
     #[test]
+    fn index_is_exact_where_the_field_widths_change() {
+        // k-mer counts of 2^m − 1, 2^m and 2^m + 1: the directory width
+        // and the position width each step at one of them.
+        let genome = GenomeModel::uniform().generate(1_100, 15);
+        for k in 1..=32usize {
+            for m in 0..=10u32 {
+                for n in [(1usize << m) - 1, 1 << m, (1 << m) + 1] {
+                    assert_matches_oracle(&genome.as_slice()[..n + k - 1], k);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_input_indexes_nothing_and_finds_nothing() {
         for k in [1usize, 12, 32] {
             let index = KmerIndex::build(&[], k).unwrap();
             assert!(index.is_empty());
             assert_eq!((index.len(), index.distinct()), (0, 0));
-            assert!(index.positions_of_code(0).is_empty());
-            assert!(index.positions_of_code(u64::MAX).is_empty());
+            assert_eq!(index.positions_of_code(0).len(), 0);
+            assert_eq!(index.positions_of_code(u64::MAX).len(), 0);
             assert_eq!(index.directory_len(), 2);
         }
     }
@@ -472,11 +701,15 @@ mod tests {
     fn directory_is_sized_by_kmer_count_not_k() {
         // A 128-base segment at k = 32 — the SaVI/ReSMA per-pair shape —
         // must not allocate a directory anywhere near 4^k (or 2^20) slots.
+        // Below k = 32 the directory has at most one slot per k-mer; at
+        // k = 32 the 64-bit entry budget can take one more directory bit
+        // (b = ⌈log2 n⌉), so at most two.
         let segment = GenomeModel::uniform().generate(128, 13);
         for k in [1usize, 8, 12, 20, 32] {
             let index = KmerIndex::build(segment.as_slice(), k).unwrap();
+            let per_kmer = if k == 32 { 2 } else { 1 };
             assert!(
-                index.directory_len() <= index.len() + 1,
+                index.directory_len() <= per_kmer * index.len() + 1,
                 "k={k}: {} directory slots for {} k-mers",
                 index.directory_len(),
                 index.len()
@@ -500,13 +733,13 @@ mod tests {
         let s = seq(&"ACGT".repeat(50));
         let index = KmerIndex::build(s.as_slice(), 4).unwrap();
         assert_eq!(index.distinct(), 4);
-        let hits = index.positions_of(seq("GTAC").as_slice());
+        let hits: Vec<usize> = index.positions_of(seq("GTAC").as_slice()).collect();
         assert_eq!(hits, (2..197).step_by(4).collect::<Vec<_>>());
     }
 
     proptest! {
         #[test]
-        fn prop_flat_index_matches_hashmap_oracle(
+        fn prop_flat_index_matches_btreemap_oracle(
             codes in proptest::collection::vec(0u8..4, 0..300),
             k in 1usize..=32
         ) {
@@ -538,7 +771,7 @@ mod tests {
             let index = KmerIndex::build(s.as_slice(), k).unwrap();
             for start in 0..=(s.len() - k) {
                 let window = &s.as_slice()[start..start + k];
-                prop_assert!(index.positions_of(window).contains(&start));
+                prop_assert!(index.positions_of(window).any(|p| p == start));
             }
         }
     }

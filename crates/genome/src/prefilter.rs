@@ -17,18 +17,29 @@
 //!
 //! 1. **Index**: every overlapping k-mer of the reference is indexed by
 //!    [`KmerIndex::build_packed`] — codes roll straight out of the packed
-//!    words, no byte-per-base rescan.
+//!    words, no byte-per-base rescan — into one flat array of 8-byte
+//!    entries behind a `u32` directory (layout in [`crate::kmer`]).
 //! 2. **Seed**: the read is sparsified to its *minimizers* (the
 //!    minimum-hash k-mer of each window of [`PrefilterConfig::window`]
-//!    consecutive k-mers), and each minimizer is looked up exactly.
-//! 3. **Diagonal binning**: a hit at reference position `r` for read
+//!    consecutive k-mers). The read's k-mer codes and their hashes are
+//!    written to a per-read buffer first; one sliding-minimum pass over
+//!    the hash buffer then picks the seeds.
+//! 3. **Probe, in phases**: every seed's directory slot is read before any
+//!    entry run is searched ([`KmerIndex::runs_of_codes`]). The reads
+//!    within a phase are independent, so a read's ~25 lookups cost about
+//!    two overlapped cache misses each instead of a chain of three.
+//! 4. **Diagonal binning**: a hit at reference position `r` for read
 //!    position `p` implies an alignment start near the diagonal `r - p`;
 //!    every stored segment start within [`PrefilterConfig::diag_slack`]
 //!    bases of that diagonal receives one vote (the slack absorbs the
 //!    positional drift that indels — and TASR's rotations — introduce).
-//! 4. **Rank**: starts with at least [`PrefilterConfig::min_seed_hits`]
+//! 5. **Rank**: starts with at least [`PrefilterConfig::min_seed_hits`]
 //!    votes are ranked (votes descending, then offset ascending) and capped
 //!    at [`PrefilterConfig::max_candidates`].
+//!
+//! The buffers of steps 2–4 (codes, hashes, seeds, entry runs, and the
+//! `u32` voted starts) are per-thread scratch reused from read to read, so
+//! a lookup allocates only the shortlist it returns.
 //!
 //! A read whose shortlist comes up empty falls back to a full scan when
 //! [`PrefilterConfig::full_scan_fallback`] is set (the default) — the
@@ -39,15 +50,18 @@
 use crate::kmer::{packed_kmers, KmerCode, KmerError, KmerIndex};
 use crate::packed::PackedWords;
 use crate::packedref::PackedRef;
+use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 
 /// Why a [`PrefilterIndex`] could not be built: every way a
 /// [`PrefilterConfig`] can be degenerate, as a typed error (the pipeline
 /// surfaces it as `PipelineError::BadPrefilter`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefilterError {
-    /// The seed k-mer length is outside `1..=32`.
-    BadK(KmerError),
+    /// The reference cannot be k-mer indexed: the seed length is outside
+    /// `1..=32`, or the reference has 2^32 or more bases.
+    Index(KmerError),
     /// The minimizer window is zero (no seeds could ever be picked).
     ZeroWindow,
     /// The shortlist cap is zero (no candidate could ever survive).
@@ -57,7 +71,7 @@ pub enum PrefilterError {
 impl fmt::Display for PrefilterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PrefilterError::BadK(e) => write!(f, "{e}"),
+            PrefilterError::Index(e) => write!(f, "{e}"),
             PrefilterError::ZeroWindow => write!(f, "minimizer window must be positive"),
             PrefilterError::ZeroCandidateCap => write!(f, "candidate cap must be positive"),
         }
@@ -68,7 +82,7 @@ impl std::error::Error for PrefilterError {}
 
 impl From<KmerError> for PrefilterError {
     fn from(e: KmerError) -> Self {
-        PrefilterError::BadK(e)
+        PrefilterError::Index(e)
     }
 }
 
@@ -193,6 +207,34 @@ pub struct PrefilterIndex {
     last_start: usize,
 }
 
+/// Per-thread buffers a lookup reuses from read to read.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The read's k-mer codes, indexed by read position.
+    codes: Vec<KmerCode>,
+    /// `seed_hash` of each code.
+    hashes: Vec<u64>,
+    /// `(hash, position)` of the minimum hash from each position to the
+    /// end of its window-sized block.
+    suffix_min: Vec<(u64, usize)>,
+    /// Minimizer read positions, ascending, and their codes.
+    seed_pos: Vec<usize>,
+    seed_codes: Vec<KmerCode>,
+    /// Each seed's run of index entries.
+    runs: Vec<Range<usize>>,
+    /// Every voted stride-grid start, once per vote.
+    starts: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Runs `f` on this thread's [`Scratch`].
+fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+}
+
 impl PrefilterIndex {
     /// Indexes `reference` for segments of `width` bases every `stride`
     /// bases — the same segmentation rule the mapping backends share — so
@@ -202,7 +244,8 @@ impl PrefilterIndex {
     ///
     /// Returns [`PrefilterError`] for any degenerate configuration: a
     /// k-mer length outside `1..=32`, a zero minimizer window, or a zero
-    /// candidate cap.
+    /// candidate cap — and for a reference of 2^32 or more bases, which
+    /// the index's 32-bit positions cannot address.
     ///
     /// # Panics
     ///
@@ -226,6 +269,7 @@ impl PrefilterIndex {
             return Err(PrefilterError::ZeroCandidateCap);
         }
         let index = KmerIndex::build_packed(reference.as_packed(), config.k)?;
+        // Under 2^32 once the index is built, so every start fits a `u32`.
         let last_start = (reference.len() - width) / stride * stride;
         Ok(Self {
             index,
@@ -247,52 +291,91 @@ impl PrefilterIndex {
         &self.config
     }
 
-    /// The underlying exact k-mer index (for inspection).
-    #[must_use]
-    pub fn kmer_index(&self) -> &KmerIndex {
-        &self.index
-    }
-
     /// The read's minimizer seeds as `(read position, k-mer code)`: the
     /// minimum-hash k-mer of each window of [`PrefilterConfig::window`]
     /// consecutive k-mers (ties to the lowest position), deduplicated.
-    ///
-    /// One pass with a monotone deque, `O(read)` whatever the window: the
-    /// deque holds the window's k-mers whose hash no later k-mer has
-    /// beaten, hashes non-decreasing from front to back, so its front is
-    /// the window's minimizer. A new k-mer evicts only entries with a
-    /// strictly greater hash — the seed hash is a bijection, so an equal
-    /// hash is the same code again and the older, lower position keeps
-    /// the win. The deque lives in one `Vec` (`deque[head..]`): entries
-    /// leave the front by advancing `head`, so nothing wraps or shifts.
     #[must_use]
     pub fn minimizers<S: PackedWords + ?Sized>(&self, read: &S) -> Vec<(usize, KmerCode)> {
-        let n_kmers = (read.len() + 1).saturating_sub(self.config.k);
-        let w = self.config.window.min(n_kmers);
-        let mut deque: Vec<(u64, usize, KmerCode)> = Vec::with_capacity(n_kmers);
-        let mut head = 0;
-        let mut picked: Vec<(usize, KmerCode)> = Vec::with_capacity(2 * n_kmers / (w + 1) + 1);
-        // `packed_kmers` yields positions 0, 1, 2, …: a k-mer's position is
-        // its index, and the window ending at `pos` starts at `pos + 1 - w`.
-        for (pos, code) in packed_kmers(read, self.config.k) {
-            let hash = seed_hash(code);
-            while deque.len() > head && deque.last().is_some_and(|&(h, _, _)| h > hash) {
-                deque.pop();
-            }
-            deque.push((hash, pos, code));
-            let Some(window_start) = (pos + 1).checked_sub(w) else {
-                continue;
-            };
-            while deque.get(head).is_some_and(|&(_, p, _)| p < window_start) {
-                head += 1;
-            }
-            if let Some(&(_, p, c)) = deque.get(head) {
-                if picked.last().is_none_or(|&(last, _)| last != p) {
-                    picked.push((p, c));
-                }
+        with_scratch(|s| {
+            self.seed(read, s);
+            s.seed_pos
+                .iter()
+                .copied()
+                .zip(s.seed_codes.iter().copied())
+                .collect()
+        })
+    }
+
+    /// Fills `s.seed_pos`/`s.seed_codes` with the read's minimizers.
+    ///
+    /// A sliding minimum over the hash buffer, `O(read)` whatever the
+    /// window `w` (van Herk / Gil-Werman): cut the buffer into blocks of
+    /// `w` k-mers; a window then spans the tail of one block and the head
+    /// of the next, so its minimum is the better of a suffix minimum (one
+    /// right-to-left pass) and a prefix minimum (kept while sliding right).
+    /// Ties go to the lowest position: each side keeps its leftmost equal
+    /// hash and the suffix side (lower positions) wins a tie. The seed hash
+    /// is a bijection, so an equal hash is the same code again. Every step
+    /// is a select rather than a data-dependent branch, so random hashes
+    /// cost no mispredictions.
+    fn seed<S: PackedWords + ?Sized>(&self, read: &S, s: &mut Scratch) {
+        s.codes.clear();
+        s.codes
+            .extend(packed_kmers(read, self.config.k).map(|(_, code)| code));
+        s.hashes.clear();
+        s.hashes.extend(s.codes.iter().map(|&code| seed_hash(code)));
+        s.seed_pos.clear();
+        s.seed_codes.clear();
+        let n = s.hashes.len();
+        if n == 0 {
+            return;
+        }
+        // `window >= 1` is checked in `new`.
+        let w = self.config.window.min(n);
+        const NONE: (u64, usize) = (u64::MAX, usize::MAX);
+        s.suffix_min.clear();
+        s.suffix_min.resize(n, NONE);
+        let mut best = NONE;
+        // K-mers left in the current block, walking right to left.
+        let mut left = (n - 1) % w + 1;
+        for (i, &hash) in s.hashes.iter().enumerate().rev() {
+            best = if hash <= best.0 { (hash, i) } else { best };
+            s.suffix_min[i] = best;
+            left -= 1;
+            if left == 0 {
+                left = w;
+                best = NONE;
             }
         }
-        picked
+        // Seeds are written unconditionally and kept only when they differ
+        // from the previous window's.
+        s.seed_pos.resize(n, 0);
+        let mut kept = 0;
+        let mut prefix = NONE;
+        let mut in_block = 0;
+        for (end, &hash) in s.hashes.iter().enumerate() {
+            if in_block == w {
+                in_block = 0;
+                prefix = NONE;
+            }
+            in_block += 1;
+            prefix = if hash < prefix.0 { (hash, end) } else { prefix };
+            let Some(start) = (end + 1).checked_sub(w) else {
+                continue;
+            };
+            let suffix = s.suffix_min[start];
+            let best = if suffix.0 <= prefix.0 {
+                suffix.1
+            } else {
+                prefix.1
+            };
+            let fresh = kept == 0 || s.seed_pos[kept - 1] != best;
+            s.seed_pos[kept] = best;
+            kept += usize::from(fresh);
+        }
+        s.seed_pos.truncate(kept);
+        s.seed_codes
+            .extend(s.seed_pos.iter().map(|&pos| s.codes[pos]));
     }
 
     /// Seed votes per segment start for one read, ascending by start —
@@ -301,38 +384,40 @@ impl PrefilterIndex {
     /// exact vote counts.
     #[must_use]
     pub fn votes<S: PackedWords + ?Sized>(&self, read: &S) -> Vec<(usize, usize)> {
-        runs(&self.voted_starts(read)).collect()
+        with_scratch(|s| {
+            self.vote(read, s);
+            runs(&s.starts).collect()
+        })
     }
 
-    /// Every stride-grid start a seed hit votes for, once per vote,
-    /// sorted: a start's vote count is the length of its run. All seeds
-    /// are looked up before any hit is read: the lookups are independent,
-    /// so the CPU overlaps their cache misses instead of waiting on each.
-    fn voted_starts<S: PackedWords + ?Sized>(&self, read: &S) -> Vec<usize> {
-        let seeds = self.minimizers(read);
-        let slack = self.config.diag_slack as isize;
-        // About one hit per seed on a non-repetitive reference.
-        let per_hit = 2 * self.config.diag_slack / self.stride + 1;
-        let mut starts: Vec<usize> = Vec::with_capacity(seeds.len() * per_hit);
-        let hits: Vec<(usize, &[usize])> = seeds
-            .iter()
-            .map(|&(p, code)| (p, self.index.positions_of_code(code)))
-            .collect();
-        for (p, positions) in hits {
-            for &r in positions {
-                let diag = r as isize - p as isize;
-                let lo = (diag - slack).max(0);
-                let hi = (diag + slack).min(self.last_start as isize);
+    /// Fills `s.starts` with every stride-grid start a seed hit votes
+    /// for, once per vote, sorted: a start's vote count is the length of
+    /// its run. The seeds are probed in phases (directory slots, then
+    /// entry runs, then the hits) so their cache misses overlap.
+    fn vote<S: PackedWords + ?Sized>(&self, read: &S, s: &mut Scratch) {
+        self.seed(read, s);
+        self.index.runs_of_codes(&s.seed_codes, &mut s.runs);
+        let slack = self.config.diag_slack;
+        s.starts.clear();
+        for (&p, run) in s.seed_pos.iter().zip(&s.runs) {
+            for r in self.index.positions_in(run.clone()) {
+                // Starts within `slack` of the diagonal `r - p`, clamped
+                // to `0..=last_start`.
+                let Some(hi) = (r + slack).checked_sub(p) else {
+                    continue;
+                };
+                let hi = hi.min(self.last_start);
+                let lo = r.saturating_sub(p + slack);
                 // Stride-grid starts from the first at or above `lo`.
-                let mut start = (lo as usize).div_ceil(self.stride) * self.stride;
-                while start as isize <= hi {
-                    starts.push(start);
+                let mut start = lo.div_ceil(self.stride) * self.stride;
+                while start <= hi {
+                    // `start <= last_start < 2^32` (see `new`).
+                    s.starts.push(start as u32);
                     start += self.stride;
                 }
             }
         }
-        starts.sort_unstable();
-        starts
+        s.starts.sort_unstable();
     }
 
     /// Seed votes supporting one specific segment start (0 if none) —
@@ -349,7 +434,10 @@ impl PrefilterIndex {
     /// [module docs](self) for the full recipe).
     #[must_use]
     pub fn shortlist<S: PackedWords + ?Sized>(&self, read: &S) -> Shortlist {
-        self.rank(runs(&self.voted_starts(read)))
+        with_scratch(|s| {
+            self.vote(read, s);
+            self.rank(runs(&s.starts))
+        })
     }
 
     /// Floors, ranks, and caps a [`PrefilterIndex::votes`] map.
@@ -374,10 +462,10 @@ impl PrefilterIndex {
 }
 
 /// `(start, votes)` for each run of equal starts in a sorted list.
-fn runs(sorted: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+fn runs(sorted: &[u32]) -> impl Iterator<Item = (usize, usize)> + '_ {
     sorted
         .chunk_by(|a, b| a == b)
-        .filter_map(|run| run.first().map(|&start| (start, run.len())))
+        .filter_map(|run| run.first().map(|&start| (start as usize, run.len())))
 }
 
 /// SplitMix64-style mixer ordering k-mer codes for minimizer selection
@@ -394,6 +482,7 @@ fn seed_hash(code: KmerCode) -> u64 {
 mod tests {
     use super::*;
     use crate::base::Base;
+    use crate::kmer::kmers;
     use crate::packed::PackedSeq;
     use crate::synth::GenomeModel;
     use proptest::prelude::*;
@@ -422,12 +511,19 @@ mod tests {
         picked
     }
 
-    /// Reference for [`PrefilterIndex::votes`]: a hash-map vote count.
-    fn votes_oracle(index: &PrefilterIndex, read: &PackedSeq) -> Vec<(usize, usize)> {
+    /// Reference for [`PrefilterIndex::votes`]: a hash-map vote count
+    /// over hits found by a naive k-mer scan of the reference itself, so a
+    /// broken [`KmerIndex`] cannot also break its own oracle.
+    fn votes_oracle(
+        index: &PrefilterIndex,
+        reference: &crate::DnaSeq,
+        read: &PackedSeq,
+    ) -> Vec<(usize, usize)> {
         let mut counts: HashMap<usize, usize> = HashMap::new();
         let slack = index.config.diag_slack as isize;
         for (p, code) in minimizers_oracle(index, read) {
-            for &r in index.index.positions_of_code(code) {
+            let hits = kmers(reference.as_slice(), index.config.k).filter(|&(_, c)| c == code);
+            for (r, _) in hits {
                 let diag = r as isize - p as isize;
                 let lo = (diag - slack).max(0);
                 let hi = (diag + slack).min(index.last_start as isize);
@@ -452,17 +548,16 @@ mod tests {
 
     /// A reference that carries `read` verbatim between two random
     /// flanks, so every read shape — random, repetitive — has true hits.
-    fn reference_around(read: &crate::DnaSeq, seed: u64) -> PackedRef {
+    fn reference_around(read: &crate::DnaSeq, seed: u64) -> crate::DnaSeq {
         let flank = GenomeModel::uniform().generate(300, seed);
         let tail = GenomeModel::uniform().generate(300, seed ^ 0x5A5A);
-        let whole: crate::DnaSeq = flank
+        flank
             .as_slice()
             .iter()
             .chain(read.as_slice())
             .chain(tail.as_slice())
             .copied()
-            .collect();
-        PackedRef::new(&whole)
+            .collect()
     }
 
     /// Reads of every shape the deque must agree on: random bases,
@@ -511,11 +606,11 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let reference = reference_around(&read, seed);
-            let index = PrefilterIndex::new(&reference, 64, stride, config).unwrap();
+            let index = PrefilterIndex::new(&PackedRef::new(&reference), 64, stride, config).unwrap();
             let packed = PackedSeq::from_seq(&read);
             let seeds = index.minimizers(&packed);
             prop_assert_eq!(&seeds, &minimizers_oracle(&index, &packed));
-            let oracle_votes = votes_oracle(&index, &packed);
+            let oracle_votes = votes_oracle(&index, &reference, &packed);
             prop_assert_eq!(&index.votes(&packed), &oracle_votes);
             prop_assert_eq!(index.shortlist(&packed), index.rank(oracle_votes.into_iter()));
         }
@@ -532,7 +627,9 @@ mod tests {
             window: 4,
             ..PrefilterConfig::default()
         };
-        let index = PrefilterIndex::new(&reference_around(&read, 3), 64, 1, config).unwrap();
+        let index =
+            PrefilterIndex::new(&PackedRef::new(&reference_around(&read, 3)), 64, 1, config)
+                .unwrap();
         let packed = PackedSeq::from_seq(&read);
         let seeds = index.minimizers(&packed);
         let positions: Vec<usize> = seeds.iter().map(|&(p, _)| p).collect();
@@ -540,7 +637,7 @@ mod tests {
         assert_eq!(seeds, minimizers_oracle(&index, &packed));
         // A window wider than the read collapses to one seed.
         let wide = PrefilterIndex::new(
-            &reference_around(&read, 3),
+            &PackedRef::new(&reference_around(&read, 3)),
             64,
             1,
             PrefilterConfig {
@@ -659,7 +756,7 @@ mod tests {
                 ..PrefilterConfig::default()
             })
             .unwrap_err(),
-            PrefilterError::BadK(KmerError { k: 33 })
+            PrefilterError::Index(KmerError::BadK { k: 33 })
         );
         assert_eq!(
             build(PrefilterConfig {
@@ -677,7 +774,7 @@ mod tests {
             .unwrap_err(),
             PrefilterError::ZeroCandidateCap
         );
-        assert!(PrefilterError::from(KmerError { k: 0 })
+        assert!(PrefilterError::from(KmerError::BadK { k: 0 })
             .to_string()
             .contains("1..=32"));
     }

@@ -258,7 +258,7 @@ proptest! {
         prop_assert_eq!(a.len(), b.len());
         prop_assert_eq!(a.distinct(), b.distinct());
         for &(pos, code) in &scalar {
-            prop_assert!(b.positions_of_code(code).contains(&pos));
+            prop_assert!(b.positions_of_code(code).any(|p| p == pos));
         }
     }
 
