@@ -1,6 +1,7 @@
 //! The k-mer prefilter as a measured kernel: one-time index build cost and
 //! per-read shortlist lookup cost across reference scales (64k/256k/1M
-//! bases), plus the packed k-mer extraction the index is built from.
+//! bases, stride 1, plus 1M at the mapping pipeline's stride-8 geometry),
+//! plus the packed k-mer extraction the index is built from.
 //!
 //! The point being measured: shortlist lookup is `O(read minimizers ×
 //! hits)` and essentially flat in the reference size, while the full scan
@@ -17,6 +18,8 @@ use std::hint::black_box;
 
 const WIDTH: usize = 128;
 const REF_LENS: [usize; 3] = [65_536, 262_144, 1_048_576];
+/// `(reference length, segment stride)` of each lookup case.
+const LOOKUPS: [(usize, usize); 4] = [(65_536, 1), (262_144, 1), (1_048_576, 1), (1_048_576, 8)];
 
 fn bench_index_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("prefilter_index_build");
@@ -37,11 +40,11 @@ fn bench_index_build(c: &mut Criterion) {
 fn bench_shortlist_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("prefilter_shortlist_lookup");
     group.sample_size(10);
-    for ref_len in REF_LENS {
+    for (ref_len, stride) in LOOKUPS {
         let raw = genome(ref_len);
         let reference = PackedRef::new(&raw);
-        let index =
-            PrefilterIndex::new(&reference, WIDTH, 1, PrefilterConfig::default()).expect("valid k");
+        let index = PrefilterIndex::new(&reference, WIDTH, stride, PrefilterConfig::default())
+            .expect("valid k");
         let sampler = ReadSampler::new(WIDTH, ErrorProfile::condition_a());
         let reads: Vec<PackedSeq> = sampler
             .sample_many(&raw, 64, 0x5EED)
@@ -49,7 +52,12 @@ fn bench_shortlist_lookup(c: &mut Criterion) {
             .map(|r| PackedSeq::from_seq(&r.bases))
             .collect();
         group.throughput(Throughput::Elements(reads.len() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(ref_len), &ref_len, |b, _| {
+        let id = if stride == 1 {
+            BenchmarkId::from_parameter(ref_len)
+        } else {
+            BenchmarkId::new(&format!("stride{stride}"), ref_len)
+        };
+        group.bench_with_input(id, &ref_len, |b, _| {
             b.iter(|| {
                 reads
                     .iter()

@@ -55,64 +55,68 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    if raw.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", HELP);
         return Ok(());
     }
+    let args = Args::parse(&raw)?;
     let mut config = PipelineConfig::default();
-    if let Some(t) = flag_value(&args, "--threshold") {
+    if let Some(t) = args.value("--threshold") {
         config.threshold = t.parse().map_err(|_| format!("bad threshold '{t}'"))?;
     }
-    if let Some(p) = flag_value(&args, "--profile") {
-        config.profile = match p.as_str() {
+    if let Some(p) = args.value("--profile") {
+        config.profile = match p {
             "a" | "A" => ErrorProfile::condition_a(),
             "b" | "B" => ErrorProfile::condition_b(),
             other => return Err(format!("unknown profile '{other}' (use a or b)")),
         };
     }
-    if args.iter().any(|a| a == "--no-hdac") {
+    if args.has("--no-hdac") {
         config.hdac = None;
     }
-    if args.iter().any(|a| a == "--no-tasr") {
+    if args.has("--no-tasr") {
         config.tasr = None;
     }
-    if let Some(s) = flag_value(&args, "--stride") {
+    if let Some(s) = args.value("--stride") {
         config.stride = s.parse().map_err(|_| format!("bad stride '{s}'"))?;
     }
-    if let Some(w) = flag_value(&args, "--row-width") {
+    if let Some(w) = args.value("--row-width") {
         config.row_width = w.parse().map_err(|_| format!("bad row width '{w}'"))?;
     }
-    if let Some(n) = flag_value(&args, "--seed") {
+    if let Some(n) = args.value("--seed") {
         config.seed = n.parse().map_err(|_| format!("bad seed '{n}'"))?;
     }
     config.prefilter = parse_prefilter(&args)?;
     config.extension = parse_extension(&args)?;
     config.fault = parse_fault(&args)?;
-    let backend = match flag_value(&args, "--backend") {
-        Some(name) => BackendKind::parse(&name)?,
+    let backend = match args.value("--backend") {
+        Some(name) => BackendKind::parse(name)?,
         None => BackendKind::Device,
     };
-    let workers = match flag_value(&args, "--workers") {
+    let workers = match args.value("--workers") {
         Some(n) => Some(n.parse().map_err(|_| format!("bad worker count '{n}'"))?),
         None => None,
     };
 
-    let (reference, reads) = if args.iter().any(|a| a == "--demo") {
+    let (reference, reads) = if args.has("--demo") {
         demo_data(config.row_width)
     } else {
-        let ref_path =
-            flag_value(&args, "--reference").ok_or("missing --reference (or use --demo)")?;
-        let reads_path = flag_value(&args, "--reads").ok_or("missing --reads (or use --demo)")?;
+        let ref_path = args
+            .value("--reference")
+            .ok_or("missing --reference (or use --demo)")?;
+        let reads_path = args
+            .value("--reads")
+            .ok_or("missing --reads (or use --demo)")?;
         let ref_file =
-            std::fs::File::open(&ref_path).map_err(|e| format!("cannot open {ref_path}: {e}"))?;
+            std::fs::File::open(ref_path).map_err(|e| format!("cannot open {ref_path}: {e}"))?;
         let records = fasta::read_fasta(BufReader::new(ref_file)).map_err(|e| e.to_string())?;
         let reference = records
             .into_iter()
             .next()
             .ok_or("reference FASTA contains no records")?
             .seq;
-        let reads_file = std::fs::File::open(&reads_path)
+        let reads_file = std::fs::File::open(reads_path)
             .map_err(|e| format!("cannot open {reads_path}: {e}"))?;
         let reads = fastq::read_fastq(BufReader::new(reads_file)).map_err(|e| e.to_string())?;
         (reference, reads)
@@ -136,41 +140,108 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: [&str; 16] = [
+    "--reference",
+    "--reads",
+    "--threshold",
+    "--profile",
+    "--stride",
+    "--row-width",
+    "--seed",
+    "--backend",
+    "--workers",
+    "--prefilter-k",
+    "--min-seed-hits",
+    "--max-candidates",
+    "--ext-band",
+    "--ext-candidates",
+    "--fault-preset",
+    "--fault-seed",
+];
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 6] = [
+    "--no-hdac",
+    "--no-tasr",
+    "--prefilter",
+    "--no-prefilter-fallback",
+    "--extension",
+    "--demo",
+];
+
+/// The command line, checked: every argument is a known flag, and every
+/// value flag is followed by its value.
+struct Args {
+    /// Each flag in command-line order, with its value if it takes one.
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Parses `raw`, rejecting an unknown flag (or a stray argument) and a
+    /// value flag whose value is missing — at the end of the line, or
+    /// followed straight by another flag.
+    fn parse(raw: &[String]) -> Result<Self, String> {
+        let mut flags = Vec::new();
+        let mut raw = raw.iter();
+        while let Some(arg) = raw.next() {
+            if let Some(&flag) = VALUE_FLAGS.iter().find(|&&f| f == arg) {
+                match raw.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        flags.push((flag, Some(value.clone())));
+                    }
+                    _ => return Err(format!("flag {flag} needs a value")),
+                }
+            } else if let Some(&flag) = SWITCHES.iter().find(|&&f| f == arg) {
+                flags.push((flag, None));
+            } else {
+                return Err(format!("unknown flag '{arg}' (see --help)"));
+            }
+        }
+        Ok(Self { flags })
+    }
+
+    /// The value of the first occurrence of a value flag.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, value)| value.as_deref())
+    }
+
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
 }
 
 /// Parses the prefilter flag family. Any prefilter-tuning flag arms the
 /// prefilter; plain `--prefilter` arms it with the default knobs.
-fn parse_prefilter(args: &[String]) -> Result<Option<asmcap::PrefilterConfig>, String> {
+fn parse_prefilter(args: &Args) -> Result<Option<asmcap::PrefilterConfig>, String> {
     let tuning = [
         "--prefilter-k",
         "--min-seed-hits",
         "--max-candidates",
         "--no-prefilter-fallback",
     ];
-    let armed = args.iter().any(|a| a == "--prefilter")
-        || args.iter().any(|a| tuning.contains(&a.as_str()));
+    let armed = args.has("--prefilter") || tuning.iter().any(|flag| args.has(flag));
     if !armed {
         return Ok(None);
     }
     let mut prefilter = asmcap::PrefilterConfig::default();
-    if let Some(k) = flag_value(args, "--prefilter-k") {
+    if let Some(k) = args.value("--prefilter-k") {
         prefilter.k = k.parse().map_err(|_| format!("bad prefilter k '{k}'"))?;
     }
-    if let Some(n) = flag_value(args, "--min-seed-hits") {
+    if let Some(n) = args.value("--min-seed-hits") {
         prefilter.min_seed_hits = n.parse().map_err(|_| format!("bad seed-hit floor '{n}'"))?;
     }
-    if let Some(n) = flag_value(args, "--max-candidates") {
+    if let Some(n) = args.value("--max-candidates") {
         prefilter.max_candidates = n.parse().map_err(|_| format!("bad candidate cap '{n}'"))?;
         if prefilter.max_candidates == 0 {
             return Err("candidate cap must be positive".into());
         }
     }
-    if args.iter().any(|a| a == "--no-prefilter-fallback") {
+    if args.has("--no-prefilter-fallback") {
         prefilter.full_scan_fallback = false;
     }
     Ok(Some(prefilter))
@@ -178,18 +249,17 @@ fn parse_prefilter(args: &[String]) -> Result<Option<asmcap::PrefilterConfig>, S
 
 /// Parses the extension flag family. Any tuning flag arms the stage;
 /// plain `--extension` arms it with the default knobs.
-fn parse_extension(args: &[String]) -> Result<Option<asmcap::ExtensionConfig>, String> {
+fn parse_extension(args: &Args) -> Result<Option<asmcap::ExtensionConfig>, String> {
     let tuning = ["--ext-band", "--ext-candidates"];
-    let armed = args.iter().any(|a| a == "--extension")
-        || args.iter().any(|a| tuning.contains(&a.as_str()));
+    let armed = args.has("--extension") || tuning.iter().any(|flag| args.has(flag));
     if !armed {
         return Ok(None);
     }
     let mut extension = asmcap::ExtensionConfig::default();
-    if let Some(b) = flag_value(args, "--ext-band") {
+    if let Some(b) = args.value("--ext-band") {
         extension.band = Some(b.parse().map_err(|_| format!("bad extension band '{b}'"))?);
     }
-    if let Some(n) = flag_value(args, "--ext-candidates") {
+    if let Some(n) = args.value("--ext-candidates") {
         extension.max_candidates = n
             .parse()
             .map_err(|_| format!("bad extension candidate cap '{n}'"))?;
@@ -203,18 +273,16 @@ fn parse_extension(args: &[String]) -> Result<Option<asmcap::ExtensionConfig>, S
 /// Parses the fault-injection flag family. `--fault-seed` implies the
 /// paper-corner preset; `--fault-preset none` (the default) leaves the
 /// device pristine.
-fn parse_fault(args: &[String]) -> Result<Option<asmcap::FaultPlan>, String> {
-    let seed: u64 = match flag_value(args, "--fault-seed") {
+fn parse_fault(args: &Args) -> Result<Option<asmcap::FaultPlan>, String> {
+    let seed: u64 = match args.value("--fault-seed") {
         Some(n) => n.parse().map_err(|_| format!("bad fault seed '{n}'"))?,
         None => 0xFA17,
     };
-    match flag_value(args, "--fault-preset").as_deref() {
+    match args.value("--fault-preset") {
         Some("paper-corner") => Ok(Some(asmcap::FaultPlan::paper_corner(seed))),
         Some("none") => Ok(None),
         Some(other) => Err(format!("bad fault preset '{other}' (none|paper-corner)")),
-        None if args.iter().any(|a| a == "--fault-seed") => {
-            Ok(Some(asmcap::FaultPlan::paper_corner(seed)))
-        }
+        None if args.has("--fault-seed") => Ok(Some(asmcap::FaultPlan::paper_corner(seed))),
         None => Ok(None),
     }
 }

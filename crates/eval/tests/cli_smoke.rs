@@ -224,3 +224,60 @@ fn asmcap_map_runs_on_synthetic_fasta_fastq() {
 
     std::fs::remove_dir_all(&dir).expect("clean temp dir");
 }
+
+/// Runs `asmcap_map` on `args` and returns `(exit success, stderr)`.
+fn run_map(args: &[&str]) -> (bool, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_asmcap_map"))
+        .args(args)
+        .output()
+        .expect("spawn asmcap_map");
+    (
+        output.status.success(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+/// A misspelled flag, or a stray argument, is an error naming it — never
+/// silently ignored.
+#[test]
+fn unknown_flag_exits_nonzero_naming_the_flag() {
+    for (args, named) in [
+        (
+            &["--demo", "--row-width", "64", "--prefiltr"][..],
+            "--prefiltr",
+        ),
+        (&["--demo", "--treshold", "6"][..], "--treshold"),
+        (&["--demo", "stray"][..], "stray"),
+    ] {
+        let (ok, stderr) = run_map(args);
+        assert!(!ok, "{args:?} exited zero");
+        assert!(
+            stderr.contains("unknown flag") && stderr.contains(named),
+            "{args:?}: stderr does not name {named}:\n{stderr}"
+        );
+    }
+}
+
+/// A value flag with no value — last on the line, or followed straight
+/// by another flag — is an error naming the flag, not a silent default.
+#[test]
+fn valueless_flag_exits_nonzero_naming_the_flag() {
+    for (args, named) in [
+        (
+            &["--demo", "--row-width", "64", "--prefilter-k"][..],
+            "--prefilter-k",
+        ),
+        (&["--demo", "--threshold"][..], "--threshold"),
+        (&["--demo", "--seed", "--prefilter"][..], "--seed"),
+    ] {
+        let (ok, stderr) = run_map(args);
+        assert!(!ok, "{args:?} exited zero");
+        assert!(
+            stderr.contains(&format!("flag {named} needs a value")),
+            "{args:?}: stderr does not name {named}:\n{stderr}"
+        );
+    }
+    // The same flags with their values run.
+    let (ok, stderr) = run_map(&["--demo", "--row-width", "64", "--prefilter-k", "12"]);
+    assert!(ok, "valid flags rejected:\n{stderr}");
+}
