@@ -27,9 +27,10 @@
 //! bits for every `k` in `1..=32`: `b ≥ 2k + pos_bits − 64` means
 //! `(2k − b) + pos_bits ≤ 64`, and `b ≤ 2k` always holds because
 //! `pos_bits ≤ 32`. The `⌊log2 n⌋` term gives about one directory slot per
-//! k-mer (a bucket of about one entry); the `2k + pos_bits − 64` term only
-//! binds at `k` near 32 and `n` near 2^32, and never exceeds `pos_bits`,
-//! so the directory stays under `2n + 2` slots. Sorting the entries as plain
+//! k-mer (a bucket of about one entry). Since `pos_bits ≤ ⌊log2 n⌋ + 1`,
+//! the `2k + pos_bits − 64` term binds only at `k = 32`, where it sets
+//! `b = ⌈log2 n⌉`: one more bit when `n` is not a power of two, so the
+//! directory never exceeds `2n + 2` slots. Sorting the entries as plain
 //! `u64`s sorts each bucket by `(code, position)`.
 //!
 //! Offsets and positions are 32-bit, so a sequence of 2^32 or more bases
@@ -395,7 +396,7 @@ impl KmerIndex {
     ///
     /// Leaves `runs[i]` holding the entries of `codes[i]`; read them back
     /// with [`KmerIndex::positions_in`].
-    pub fn runs_of_codes(&self, codes: &[KmerCode], runs: &mut Vec<Range<usize>>) {
+    pub(crate) fn runs_of_codes(&self, codes: &[KmerCode], runs: &mut Vec<Range<usize>>) {
         runs.clear();
         runs.extend(codes.iter().map(|&code| self.bucket_run(code)));
         for (run, &code) in runs.iter_mut().zip(codes) {
@@ -410,7 +411,7 @@ impl KmerIndex {
     ///
     /// Panics if `run` is out of bounds.
     #[must_use]
-    pub fn positions_in(&self, run: Range<usize>) -> Positions<'_> {
+    pub(crate) fn positions_in(&self, run: Range<usize>) -> Positions<'_> {
         Positions {
             entries: self.entries[run].iter(),
             pos_mask: self.layout.pos_mask(),
@@ -607,8 +608,13 @@ mod tests {
                     // Every position fits its field, and the field is minimal.
                     assert!(n <= 1u64 << l.pos_bits, "{ctx}");
                     assert!(l.pos_bits == 0 || n > 1u64 << (l.pos_bits - 1), "{ctx}");
-                    // The directory stays under two slots per k-mer.
+                    // The directory stays under two slots per k-mer, and
+                    // only k = 32 needs more than one.
                     assert!((1u64 << l.dir_bits) <= (2 * n).max(1), "{ctx}");
+                    if k < 32 {
+                        let floor_log = n.checked_ilog2().unwrap_or(0);
+                        assert_eq!(l.dir_bits, floor_log.min(2 * k as u32), "{ctx}");
+                    }
                 }
             }
         }

@@ -25,7 +25,7 @@
 //!    written to a per-read buffer first; one sliding-minimum pass over
 //!    the hash buffer then picks the seeds.
 //! 3. **Probe, in phases**: every seed's directory slot is read before any
-//!    entry run is searched ([`KmerIndex::runs_of_codes`]). The reads
+//!    entry run is searched (`KmerIndex::runs_of_codes`). The reads
 //!    within a phase are independent, so a read's ~25 lookups cost about
 //!    two overlapped cache misses each instead of a chain of three.
 //! 4. **Diagonal binning**: a hit at reference position `r` for read
@@ -599,7 +599,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_deque_and_run_length_match_the_oracles(
+        fn prop_sliding_minimum_and_run_length_match_the_oracles(
             read in any_read(),
             config in any_config(),
             stride in 1usize..=8,
