@@ -64,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod backend;
 pub mod config;
 pub mod engine;

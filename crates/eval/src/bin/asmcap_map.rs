@@ -1,43 +1,7 @@
 //! `asmcap-map` — map FASTQ reads against a FASTA reference through the
-//! batch-first [`asmcap::AsmcapPipeline`], emitting TSV.
-//!
-//! ```text
-//! asmcap-map --reference ref.fasta --reads reads.fastq [options]
-//! asmcap-map --demo                      # run on generated data
-//!
-//! options:
-//!   --threshold T     edit-distance threshold (default 8)
-//!   --profile a|b     expected error mix, Condition A or B (default a)
-//!   --no-hdac         disable Hamming-Distance Aid Correction
-//!   --no-tasr         disable Threshold-Aware Sequence Rotation
-//!   --stride S        reference segmentation stride (default 1)
-//!   --row-width W     CAM row width = read length (default 256)
-//!   --seed N          sensing seed (default 0)
-//!   --backend B       execution backend: device|pair|software (default device)
-//!   --workers N       worker threads for the batch (default: auto)
-//!   --prefilter       arm the seed-and-extend k-mer prefilter
-//!   --prefilter-k K   seed k-mer length (default 12, implies --prefilter)
-//!   --min-seed-hits N shortlist vote floor (default 2, implies --prefilter)
-//!   --max-candidates N  shortlist cap (default 64, implies --prefilter)
-//!   --no-prefilter-fallback  unmatched reads are NOT full-scanned
-//!   --extension       arm the alignment/extension stage (CIGAR traceback)
-//!   --ext-band B      traceback edit budget (default 2*T+2, implies
-//!                     --extension)
-//!   --ext-candidates N  origins aligned per read (default 4, implies
-//!                     --extension)
-//!   --fault-preset P  none|paper-corner — arm the device fault model
-//!                     (default none; requires --backend device)
-//!   --fault-seed N    fault-plan seed (default 0xFA17, implies
-//!                     --fault-preset paper-corner)
-//! ```
-//!
-//! Output columns: `read_id  n_candidates  positions(;)  cycles  status`;
-//! with `--extension` three SAM-ish columns follow: `aln_pos  aln_score
-//! cigar` (extended CIGAR with `=`/`X`/`I`/`D` runs, `*` when nothing
-//! aligned within the band). Reads longer than the row width are truncated
-//! and flagged `truncated`; shorter reads are flagged `rejected`; a run
-//! summary (including truncation and alignment counts) goes to stderr.
+//! batch-first [`asmcap::AsmcapPipeline`], emitting TSV; usage in `--help`.
 
+use asmcap::args::Args;
 use asmcap::{BackendKind, PipelineConfig};
 use asmcap_eval::cli::{map_records, TSV_HEADER, TSV_HEADER_EXTENDED};
 use asmcap_genome::{fasta, fastq, DnaSeq, ErrorProfile};
@@ -56,15 +20,13 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), String> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", HELP);
+    let args = Args::parse(&raw, VALUE_FLAGS, SWITCHES)?;
+    if args.has("--help") {
+        print!("{HELP}");
         return Ok(());
     }
-    let args = Args::parse(&raw)?;
     let mut config = PipelineConfig::default();
-    if let Some(t) = args.value("--threshold") {
-        config.threshold = t.parse().map_err(|_| format!("bad threshold '{t}'"))?;
-    }
+    config.threshold = args.parsed("--threshold")?.unwrap_or(config.threshold);
     if let Some(p) = args.value("--profile") {
         config.profile = match p {
             "a" | "A" => ErrorProfile::condition_a(),
@@ -78,15 +40,9 @@ fn run() -> Result<(), String> {
     if args.has("--no-tasr") {
         config.tasr = None;
     }
-    if let Some(s) = args.value("--stride") {
-        config.stride = s.parse().map_err(|_| format!("bad stride '{s}'"))?;
-    }
-    if let Some(w) = args.value("--row-width") {
-        config.row_width = w.parse().map_err(|_| format!("bad row width '{w}'"))?;
-    }
-    if let Some(n) = args.value("--seed") {
-        config.seed = n.parse().map_err(|_| format!("bad seed '{n}'"))?;
-    }
+    config.stride = args.parsed("--stride")?.unwrap_or(config.stride);
+    config.row_width = args.parsed("--row-width")?.unwrap_or(config.row_width);
+    config.seed = args.parsed("--seed")?.unwrap_or(config.seed);
     config.prefilter = parse_prefilter(&args)?;
     config.extension = parse_extension(&args)?;
     config.fault = parse_fault(&args)?;
@@ -94,10 +50,7 @@ fn run() -> Result<(), String> {
         Some(name) => BackendKind::parse(name)?,
         None => BackendKind::Device,
     };
-    let workers = match args.value("--workers") {
-        Some(n) => Some(n.parse().map_err(|_| format!("bad worker count '{n}'"))?),
-        None => None,
-    };
+    let workers = args.parsed("--workers")?;
 
     let (reference, reads) = if args.has("--demo") {
         demo_data(config.row_width)
@@ -141,79 +94,12 @@ fn run() -> Result<(), String> {
 }
 
 /// Flags that take a value (the next argument).
-const VALUE_FLAGS: [&str; 16] = [
-    "--reference",
-    "--reads",
-    "--threshold",
-    "--profile",
-    "--stride",
-    "--row-width",
-    "--seed",
-    "--backend",
-    "--workers",
-    "--prefilter-k",
-    "--min-seed-hits",
-    "--max-candidates",
-    "--ext-band",
-    "--ext-candidates",
-    "--fault-preset",
-    "--fault-seed",
-];
+const VALUE_FLAGS: &str = "--reference --reads --threshold --profile --stride \
+    --row-width --seed --backend --workers --prefilter-k --min-seed-hits \
+    --max-candidates --ext-band --ext-candidates --fault-preset --fault-seed";
 
 /// Flags that stand alone.
-const SWITCHES: [&str; 6] = [
-    "--no-hdac",
-    "--no-tasr",
-    "--prefilter",
-    "--no-prefilter-fallback",
-    "--extension",
-    "--demo",
-];
-
-/// The command line, checked: every argument is a known flag, and every
-/// value flag is followed by its value.
-struct Args {
-    /// Each flag in command-line order, with its value if it takes one.
-    flags: Vec<(&'static str, Option<String>)>,
-}
-
-impl Args {
-    /// Parses `raw`, rejecting an unknown flag (or a stray argument) and a
-    /// value flag whose value is missing — at the end of the line, or
-    /// followed straight by another flag.
-    fn parse(raw: &[String]) -> Result<Self, String> {
-        let mut flags = Vec::new();
-        let mut raw = raw.iter();
-        while let Some(arg) = raw.next() {
-            if let Some(&flag) = VALUE_FLAGS.iter().find(|&&f| f == arg) {
-                match raw.next() {
-                    Some(value) if !value.starts_with("--") => {
-                        flags.push((flag, Some(value.clone())));
-                    }
-                    _ => return Err(format!("flag {flag} needs a value")),
-                }
-            } else if let Some(&flag) = SWITCHES.iter().find(|&&f| f == arg) {
-                flags.push((flag, None));
-            } else {
-                return Err(format!("unknown flag '{arg}' (see --help)"));
-            }
-        }
-        Ok(Self { flags })
-    }
-
-    /// The value of the first occurrence of a value flag.
-    fn value(&self, flag: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(f, _)| *f == flag)
-            .and_then(|(_, value)| value.as_deref())
-    }
-
-    /// Whether `flag` was given.
-    fn has(&self, flag: &str) -> bool {
-        self.flags.iter().any(|(f, _)| *f == flag)
-    }
-}
+const SWITCHES: &str = "--no-hdac --no-tasr --prefilter --no-prefilter-fallback --extension --demo";
 
 /// Parses the prefilter flag family. Any prefilter-tuning flag arms the
 /// prefilter; plain `--prefilter` arms it with the default knobs.
@@ -229,17 +115,15 @@ fn parse_prefilter(args: &Args) -> Result<Option<asmcap::PrefilterConfig>, Strin
         return Ok(None);
     }
     let mut prefilter = asmcap::PrefilterConfig::default();
-    if let Some(k) = args.value("--prefilter-k") {
-        prefilter.k = k.parse().map_err(|_| format!("bad prefilter k '{k}'"))?;
-    }
-    if let Some(n) = args.value("--min-seed-hits") {
-        prefilter.min_seed_hits = n.parse().map_err(|_| format!("bad seed-hit floor '{n}'"))?;
-    }
-    if let Some(n) = args.value("--max-candidates") {
-        prefilter.max_candidates = n.parse().map_err(|_| format!("bad candidate cap '{n}'"))?;
-        if prefilter.max_candidates == 0 {
-            return Err("candidate cap must be positive".into());
-        }
+    prefilter.k = args.parsed("--prefilter-k")?.unwrap_or(prefilter.k);
+    prefilter.min_seed_hits = args
+        .parsed("--min-seed-hits")?
+        .unwrap_or(prefilter.min_seed_hits);
+    prefilter.max_candidates = args
+        .parsed("--max-candidates")?
+        .unwrap_or(prefilter.max_candidates);
+    if prefilter.max_candidates == 0 {
+        return Err("candidate cap must be positive".into());
     }
     if args.has("--no-prefilter-fallback") {
         prefilter.full_scan_fallback = false;
@@ -256,16 +140,12 @@ fn parse_extension(args: &Args) -> Result<Option<asmcap::ExtensionConfig>, Strin
         return Ok(None);
     }
     let mut extension = asmcap::ExtensionConfig::default();
-    if let Some(b) = args.value("--ext-band") {
-        extension.band = Some(b.parse().map_err(|_| format!("bad extension band '{b}'"))?);
-    }
-    if let Some(n) = args.value("--ext-candidates") {
-        extension.max_candidates = n
-            .parse()
-            .map_err(|_| format!("bad extension candidate cap '{n}'"))?;
-        if extension.max_candidates == 0 {
-            return Err("extension candidate cap must be positive".into());
-        }
+    extension.band = args.parsed("--ext-band")?.or(extension.band);
+    extension.max_candidates = args
+        .parsed("--ext-candidates")?
+        .unwrap_or(extension.max_candidates);
+    if extension.max_candidates == 0 {
+        return Err("extension candidate cap must be positive".into());
     }
     Ok(Some(extension))
 }
@@ -274,10 +154,7 @@ fn parse_extension(args: &Args) -> Result<Option<asmcap::ExtensionConfig>, Strin
 /// paper-corner preset; `--fault-preset none` (the default) leaves the
 /// device pristine.
 fn parse_fault(args: &Args) -> Result<Option<asmcap::FaultPlan>, String> {
-    let seed: u64 = match args.value("--fault-seed") {
-        Some(n) => n.parse().map_err(|_| format!("bad fault seed '{n}'"))?,
-        None => 0xFA17,
-    };
+    let seed = args.parsed("--fault-seed")?.unwrap_or(0xFA17);
     match args.value("--fault-preset") {
         Some("paper-corner") => Ok(Some(asmcap::FaultPlan::paper_corner(seed))),
         Some("none") => Ok(None),

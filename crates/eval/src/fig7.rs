@@ -31,7 +31,7 @@ pub struct Fig7Config {
 }
 
 impl Fig7Config {
-    /// The full-scale configuration used by the `fig7` binary.
+    /// The full-scale configuration used by `asmcap_eval fig7`.
     #[must_use]
     pub fn paper() -> Self {
         Self {

@@ -1,20 +1,22 @@
 //! Evaluation harness for the ASMCap reproduction.
 //!
 //! Every table and figure of the paper's evaluation (§V) has a module here
-//! and a binary under `src/bin/` that prints it:
+//! and an artefact of the `asmcap_eval` binary that prints it
+//! (`cargo run --release -p asmcap-eval --bin asmcap_eval -- <artefact>`):
 //!
-//! | artefact | module | binary |
+//! | artefact | module | `asmcap_eval` artefact |
 //! |---|---|---|
-//! | Fig. 2 matching examples | [`fig2`] | `cargo run -p asmcap-eval --bin fig2` |
-//! | Fig. 3 V_ML behaviour | [`fig3`] | `… --bin fig3` |
-//! | Table I circuit comparison | [`table1`] | `… --bin table1` |
-//! | §V-B area/power breakdown | [`breakdown`] | `… --bin breakdown` |
-//! | §V-D distinguishable states | [`states`] | `… --bin states` |
-//! | Fig. 7 accuracy (4 subplots) | [`fig7`] | `… --bin fig7` |
-//! | Fig. 8 speedup & energy efficiency | [`fig8`] | `… --bin fig8` |
-//! | Fig. 1(b) accuracy-vs-efficiency | [`fig1b`] | `… --bin fig1b` |
-//! | HDAC/TASR design-space ablations | [`ablation`] | `… --bin ablation` |
-//! | Array-size/read-length scaling | [`scaling`] | `… --bin scaling` |
+//! | Fig. 2 matching examples | [`fig2`] | `fig2` |
+//! | Fig. 3 V_ML behaviour | [`fig3`] | `fig3` |
+//! | Table I circuit comparison | [`table1`] | `table1` |
+//! | §V-B area/power breakdown | [`breakdown`] | `breakdown` |
+//! | §V-D distinguishable states | [`states`] | `states [--trials N]` |
+//! | Fig. 7 accuracy (4 subplots) | [`fig7`] | `fig7 [--smoke] [--csv DIR]` |
+//! | Fig. 8 speedup & energy efficiency | [`fig8`] | `fig8 [--smoke] [--csv DIR]` |
+//! | Fig. 1(b) accuracy-vs-efficiency | [`fig1b`] | `fig1b [--smoke]` |
+//! | HDAC/TASR design-space ablations | [`ablation`] | `ablation [--smoke] [--part P]` |
+//! | Array-size/read-length scaling | [`scaling`] | `scaling` |
+//! | Supply-corner study | [`corners`] | `corners [--smoke]` |
 //!
 //! [`dataset`] builds the metagenomic pair datasets with exact ground
 //! truth, and [`report`] renders markdown/CSV tables.

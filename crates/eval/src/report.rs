@@ -127,16 +127,6 @@ pub fn write_csv(
     Ok(path)
 }
 
-/// Parses an optional `--csv <dir>` pair from argv.
-#[must_use]
-pub fn csv_dir_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-}
-
 /// Formats a ratio like the paper does: `4.7e4x`, `1.4x`.
 #[must_use]
 pub fn ratio(value: f64) -> String {

@@ -281,3 +281,89 @@ fn valueless_flag_exits_nonzero_naming_the_flag() {
     let (ok, stderr) = run_map(&["--demo", "--row-width", "64", "--prefilter-k", "12"]);
     assert!(ok, "valid flags rejected:\n{stderr}");
 }
+
+/// Runs `asmcap_eval` on `args` and returns `(exit code, stdout, stderr)`.
+fn run_eval(args: &[&str]) -> (Option<i32>, String, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_asmcap_eval"))
+        .args(args)
+        .output()
+        .expect("spawn asmcap_eval");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+/// The fast artefacts run and print their headings.
+#[test]
+fn eval_artefacts_print_their_headings() {
+    for (args, heading) in [
+        (&["fig2"][..], "Fig. 2 — the adopted matching method"),
+        (&["table1"][..], "Table I — circuit-level comparison"),
+        (&["breakdown"][..], "Section V-B — area breakdown"),
+        (
+            &["states", "--trials", "100"][..],
+            "Section V-D — distinguishable states",
+        ),
+    ] {
+        let (code, stdout, stderr) = run_eval(args);
+        assert_eq!(code, Some(0), "{args:?} failed:\n{stderr}");
+        assert!(stdout.starts_with(heading), "{args:?}:\n{stdout}");
+    }
+    let (_, stdout, _) = run_eval(&["states", "--trials", "100"]);
+    assert!(stdout.contains("100 Monte-Carlo trials"), "{stdout}");
+}
+
+/// An unknown artefact, a flag the artefact does not take, a bad value
+/// and an unknown ablation part each exit 1 naming the bad input, before
+/// any work is done.
+#[test]
+fn eval_rejects_bad_input_by_name() {
+    for (args, named) in [
+        (&["fig9"][..], "unknown artefact 'fig9'"),
+        (&[][..], "missing artefact"),
+        (&["table1", "--smoke"][..], "unknown flag '--smoke'"),
+        (&["fig7", "--smok"][..], "unknown flag '--smok'"),
+        (&["states", "100"][..], "unknown flag '100'"),
+        (
+            &["states", "--trials", "x"][..],
+            "bad value 'x' for --trials",
+        ),
+        (&["fig8", "--csv"][..], "flag --csv needs a value"),
+        (
+            &["fig1b", "--smoke", "--smoke"][..],
+            "flag --smoke given twice",
+        ),
+        (
+            &["ablation", "--part", "nope"][..],
+            "unknown ablation part 'nope'",
+        ),
+    ] {
+        let (code, stdout, stderr) = run_eval(args);
+        assert_eq!(code, Some(1), "{args:?} did not exit 1:\n{stdout}");
+        assert!(stdout.is_empty(), "{args:?} printed:\n{stdout}");
+        assert!(
+            stderr.contains(named),
+            "{args:?}: stderr lacks {named}:\n{stderr}"
+        );
+    }
+}
+
+/// A CSV directory that cannot be created fails the run, naming the file.
+#[test]
+fn eval_exits_nonzero_when_a_csv_write_fails() {
+    let file = std::env::temp_dir().join(format!("asmcap_eval_csv_{}", std::process::id()));
+    std::fs::write(&file, "not a directory").expect("write blocker file");
+    let dir = file.join("csv");
+    let (code, _, stderr) = run_eval(&["fig8", "--smoke", "--csv", dir.to_str().expect("utf-8")]);
+    std::fs::remove_file(&file).expect("clean blocker file");
+    assert_eq!(code, Some(1), "failed CSV write exited {code:?}:\n{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "cannot write CSV {}",
+            dir.join("fig8.csv").display()
+        )),
+        "stderr does not name the CSV path:\n{stderr}"
+    );
+}

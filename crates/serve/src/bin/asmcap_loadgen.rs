@@ -1,26 +1,5 @@
-//! `asmcap-loadgen` — open-loop load generator for `asmcap_serve`.
-//!
-//! ```text
-//! asmcap_loadgen --addr HOST:PORT [options]
-//!
-//! options:
-//!   --clients N       concurrent client connections (default 8)
-//!   --requests N      map requests per client (default 4096)
-//!   --rate R          aggregate offered load, reads/s (default 100000;
-//!                     0 = unpaced, send as fast as the socket accepts)
-//!   --window W        closed-loop cap on in-flight requests per client
-//!                     (default 0 = open loop, no cap)
-//!   --sweep R1,R2,..  run once per offered rate (overrides --rate)
-//!   --ref-len N       reference length — must match the server (default 8192)
-//!   --ref-seed N      reference seed — must match the server (default 7)
-//!   --row-width W     read length — must match the server (default 128)
-//!   --read-seed N     read sampling seed (default 11)
-//!   --out PATH        write the sweep summary as JSON
-//!   --shutdown        send a shutdown request after the last run
-//!   --chaos           make ~2/3 of clients hostile: mid-frame connection
-//!                     aborts and stalled readers (robustness soak)
-//!   --chaos-seed N    seed for the chaos behavior draw (default 13)
-//! ```
+//! `asmcap-loadgen` — open-loop load generator for `asmcap_serve`; usage
+//! in `--help`.
 //!
 //! Each client runs a paced sender thread and a receiver thread;
 //! round-trip latency is measured per request id. Every **successfully
@@ -39,6 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use asmcap::args::Args;
 use asmcap_genome::{ErrorProfile, GenomeModel, ReadSampler};
 use asmcap_serve::perf::{self, LatencyHistogram, LatencySummary};
 use asmcap_serve::{MapClient, OverloadReason, Request, Response, WireError};
@@ -89,19 +69,20 @@ impl RunResult {
 }
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw, VALUE_FLAGS, SWITCHES)?;
+    if args.has("--help") {
         print!("{HELP}");
         return Ok(());
     }
-    let addr = flag_value(&args, "--addr").ok_or("missing --addr HOST:PORT")?;
-    let clients: usize = parse_or(&args, "--clients", 8)?;
-    let requests: u64 = parse_or(&args, "--requests", 4_096)?;
-    let ref_len: usize = parse_or(&args, "--ref-len", 8_192)?;
-    let ref_seed: u64 = parse_or(&args, "--ref-seed", 7)?;
-    let row_width: usize = parse_or(&args, "--row-width", 128)?;
-    let read_seed: u64 = parse_or(&args, "--read-seed", 11)?;
-    let rates: Vec<u64> = match flag_value(&args, "--sweep") {
+    let addr = args.value("--addr").ok_or("missing --addr HOST:PORT")?;
+    let clients: usize = args.parsed("--clients")?.unwrap_or(8);
+    let requests: u64 = args.parsed("--requests")?.unwrap_or(4_096);
+    let ref_len: usize = args.parsed("--ref-len")?.unwrap_or(8_192);
+    let ref_seed: u64 = args.parsed("--ref-seed")?.unwrap_or(7);
+    let row_width: usize = args.parsed("--row-width")?.unwrap_or(128);
+    let read_seed: u64 = args.parsed("--read-seed")?.unwrap_or(11);
+    let rates: Vec<u64> = match args.value("--sweep") {
         Some(list) => list
             .split(',')
             .map(|r| {
@@ -110,11 +91,11 @@ fn run() -> Result<(), String> {
                     .map_err(|_| format!("bad sweep rate '{r}'"))
             })
             .collect::<Result<_, _>>()?,
-        None => vec![parse_or(&args, "--rate", 100_000)?],
+        None => vec![args.parsed("--rate")?.unwrap_or(100_000)],
     };
-    let window: u64 = parse_or(&args, "--window", 0)?;
-    let chaos: Option<u64> = if args.iter().any(|a| a == "--chaos") {
-        Some(parse_or(&args, "--chaos-seed", 13)?)
+    let window: u64 = args.parsed("--window")?.unwrap_or(0);
+    let chaos: Option<u64> = if args.has("--chaos") {
+        Some(args.parsed("--chaos-seed")?.unwrap_or(13))
     } else {
         None
     };
@@ -128,7 +109,7 @@ fn run() -> Result<(), String> {
     // that *can* map, and off-grid reads mostly cannot under strided
     // segmentation — they would measure the HDAC/TASR miss path instead
     // of serving capacity.
-    let stride: usize = parse_or(&args, "--stride", 8)?;
+    let stride: usize = args.parsed("--stride")?.unwrap_or(8);
     let genome = GenomeModel::uniform().generate(ref_len, ref_seed);
     let sampler = ReadSampler::new(row_width, ErrorProfile::condition_a());
     // Cap origins at the sampler's own limit: error injection reads a
@@ -165,7 +146,7 @@ fn run() -> Result<(), String> {
     let mut results = Vec::with_capacity(rates.len());
     for (round, &rate) in rates.iter().enumerate() {
         let result = run_once(
-            &addr,
+            addr,
             clients,
             requests,
             rate,
@@ -178,14 +159,13 @@ fn run() -> Result<(), String> {
         results.push(result);
     }
 
-    if let Some(path) = flag_value(&args, "--out") {
-        std::fs::write(&path, to_json(&results))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = args.value("--out") {
+        std::fs::write(path, to_json(&results)).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("asmcap-loadgen: wrote {path}");
     }
 
-    if args.iter().any(|a| a == "--shutdown") {
-        let mut client = MapClient::connect(&addr).map_err(|e| format!("shutdown connect: {e}"))?;
+    if args.has("--shutdown") {
+        let mut client = MapClient::connect(addr).map_err(|e| format!("shutdown connect: {e}"))?;
         client
             .shutdown_server()
             .map_err(|e| format!("shutdown request: {e}"))?;
@@ -842,19 +822,12 @@ fn to_json(results: &[RunResult]) -> String {
     out
 }
 
-fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    match flag_value(args, flag) {
-        Some(v) => v.parse().map_err(|_| format!("bad value '{v}' for {flag}")),
-        None => Ok(default),
-    }
-}
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: &str = "--addr --clients --requests --rate --window --sweep \
+    --stride --ref-len --ref-seed --row-width --read-seed --out --chaos-seed";
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+/// Flags that stand alone.
+const SWITCHES: &str = "--shutdown --chaos";
 
 const HELP: &str = "\
 asmcap-loadgen: open-loop load generator for asmcap_serve.

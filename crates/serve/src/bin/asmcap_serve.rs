@@ -1,43 +1,10 @@
-//! `asmcap-serve` — boot a mapping server over a generated reference.
-//!
-//! ```text
-//! asmcap_serve [options]
-//!
-//! options:
-//!   --addr A          listen address (default 127.0.0.1:4321; use :0 for
-//!                     an ephemeral port, printed on stdout)
-//!   --ref-len N       generated reference length in bases (default 8192)
-//!   --ref-seed N      reference generation seed (default 7)
-//!   --row-width W     CAM row width = read length (default 128)
-//!   --stride S        reference segmentation stride (default 8)
-//!   --threshold T     edit-distance threshold (default 6)
-//!   --seed N          pipeline sensing seed (default 0)
-//!   --backend B       device|pair|software (default device)
-//!   --workers N       pipeline worker threads (default: auto)
-//!   --no-prefilter    disable the k-mer prefilter (default: armed)
-//!   --queue-cap N     admission queue depth (default 4096)
-//!   --shed-at N       shed watermark (default 3/4 of the queue cap)
-//!   --batch-max N     largest coalesced batch (default 256)
-//!   --flush-us N      partial-batch flush timeout, microseconds (default 500)
-//!   --max-conns N     concurrent connection cap (default 64)
-//!   --deadline-us N   per-request queue deadline in microseconds; requests
-//!                     still queued past it are answered with a Deadline
-//!                     overload instead of being mapped (default 0 = off)
-//!   --drain-timeout-ms N  shutdown drain bound before stragglers are
-//!                     force-closed (default 10000)
-//!   --fault-preset P  none|paper-corner — arm the device fault model
-//!                     (default none; requires --backend device)
-//!   --fault-seed N    fault-plan seed for the preset (default 0xFA17)
-//!   --no-remote-shutdown  refuse client shutdown requests (default: allowed,
-//!                     so the load generator / CI harness can stop the server)
-//! ```
-//!
-//! Prints `listening on <addr>` once ready, then blocks until a remote
-//! shutdown (or forever with `--no-remote-shutdown` — kill it).
+//! `asmcap-serve` — boot a mapping server over a generated reference;
+//! usage in `--help`.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
+use asmcap::args::Args;
 use asmcap::{AsmcapPipeline, BackendKind, FaultPlan, PipelineConfig, PrefilterConfig};
 use asmcap_genome::GenomeModel;
 use asmcap_serve::{CoalescerConfig, Server, ServerConfig};
@@ -52,12 +19,35 @@ fn main() -> ExitCode {
     }
 }
 
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: &str = "--addr --ref-len --ref-seed --row-width --stride \
+    --threshold --seed --backend --workers --queue-cap --shed-at --batch-max \
+    --flush-us --max-conns --deadline-us --drain-timeout-ms --fault-preset \
+    --fault-seed";
+
+/// Flags that stand alone.
+const SWITCHES: &str = "--no-prefilter --no-remote-shutdown";
+
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw, VALUE_FLAGS, SWITCHES)?;
+    if args.has("--help") {
         print!("{HELP}");
         return Ok(());
     }
+    // Zero here would boot a server that refuses every connection or
+    // admits nothing, so it is an error rather than a silent clamp.
+    let positive = |flag: &str, default: usize| match args.parsed(flag)?.unwrap_or(default) {
+        0 => Err(format!("{flag} must be positive")),
+        n => Ok(n),
+    };
+    let max_connections = positive("--max-conns", 64)?;
+    let queue_cap = positive("--queue-cap", 4_096)?;
+    let batch_max = positive("--batch-max", 256)?;
+    let shed_watermark = args.parsed("--shed-at")?.unwrap_or(queue_cap / 4 * 3);
+    let flush_us = args.parsed("--flush-us")?.unwrap_or(500);
+    let deadline_us = args.parsed("--deadline-us")?.unwrap_or(0);
+    let drain_timeout_ms = args.parsed("--drain-timeout-ms")?.unwrap_or(10_000);
 
     let mut config = PipelineConfig {
         threshold: 6,
@@ -66,45 +56,26 @@ fn run() -> Result<(), String> {
         prefilter: Some(PrefilterConfig::default()),
         ..PipelineConfig::default()
     };
-    if let Some(t) = flag_value(&args, "--threshold") {
-        config.threshold = t.parse().map_err(|_| format!("bad threshold '{t}'"))?;
-    }
-    if let Some(s) = flag_value(&args, "--stride") {
-        config.stride = s.parse().map_err(|_| format!("bad stride '{s}'"))?;
-    }
-    if let Some(w) = flag_value(&args, "--row-width") {
-        config.row_width = w.parse().map_err(|_| format!("bad row width '{w}'"))?;
-    }
-    if let Some(n) = flag_value(&args, "--seed") {
-        config.seed = n.parse().map_err(|_| format!("bad seed '{n}'"))?;
-    }
-    if args.iter().any(|a| a == "--no-prefilter") {
+    config.threshold = args.parsed("--threshold")?.unwrap_or(config.threshold);
+    config.stride = args.parsed("--stride")?.unwrap_or(config.stride);
+    config.row_width = args.parsed("--row-width")?.unwrap_or(config.row_width);
+    config.seed = args.parsed("--seed")?.unwrap_or(config.seed);
+    if args.has("--no-prefilter") {
         config.prefilter = None;
     }
-    let backend = match flag_value(&args, "--backend") {
-        Some(name) => BackendKind::parse(&name)?,
+    let backend = match args.value("--backend") {
+        Some(name) => BackendKind::parse(name)?,
         None => BackendKind::Device,
     };
-    let ref_len: usize = match flag_value(&args, "--ref-len") {
-        Some(n) => n
-            .parse()
-            .map_err(|_| format!("bad reference length '{n}'"))?,
-        None => 8_192,
-    };
-    let ref_seed: u64 = match flag_value(&args, "--ref-seed") {
-        Some(n) => n.parse().map_err(|_| format!("bad reference seed '{n}'"))?,
-        None => 7,
-    };
-
-    let fault_seed: u64 = match flag_value(&args, "--fault-seed") {
-        Some(n) => n.parse().map_err(|_| format!("bad fault seed '{n}'"))?,
-        None => 0xFA17,
-    };
-    let fault = match flag_value(&args, "--fault-preset").as_deref() {
+    let ref_len = args.parsed("--ref-len")?.unwrap_or(8_192);
+    let ref_seed = args.parsed("--ref-seed")?.unwrap_or(7);
+    let fault_seed = args.parsed("--fault-seed")?.unwrap_or(0xFA17);
+    let fault = match args.value("--fault-preset") {
         None | Some("none") => None,
         Some("paper-corner") => Some(FaultPlan::paper_corner(fault_seed)),
         Some(other) => return Err(format!("bad fault preset '{other}' (none|paper-corner)")),
     };
+    let workers = args.parsed("--workers")?;
 
     let mut builder = AsmcapPipeline::builder()
         .reference(GenomeModel::uniform().generate(ref_len, ref_seed))
@@ -113,8 +84,8 @@ fn run() -> Result<(), String> {
     if let Some(plan) = fault {
         builder = builder.fault(plan);
     }
-    if let Some(n) = flag_value(&args, "--workers") {
-        builder = builder.workers(n.parse().map_err(|_| format!("bad worker count '{n}'"))?);
+    if let Some(n) = workers {
+        builder = builder.workers(n);
     }
     let pipeline = builder.build().map_err(|e| e.to_string())?;
     if pipeline.fault_armed() {
@@ -124,37 +95,8 @@ fn run() -> Result<(), String> {
         );
     }
 
-    let queue_cap: usize = match flag_value(&args, "--queue-cap") {
-        Some(n) => n.parse().map_err(|_| format!("bad queue cap '{n}'"))?,
-        None => 4_096,
-    };
-    let shed_watermark: usize = match flag_value(&args, "--shed-at") {
-        Some(n) => n.parse().map_err(|_| format!("bad shed watermark '{n}'"))?,
-        None => queue_cap / 4 * 3,
-    };
-    let batch_max: usize = match flag_value(&args, "--batch-max") {
-        Some(n) => n.parse().map_err(|_| format!("bad batch max '{n}'"))?,
-        None => 256,
-    };
-    let flush_us: u64 = match flag_value(&args, "--flush-us") {
-        Some(n) => n.parse().map_err(|_| format!("bad flush timeout '{n}'"))?,
-        None => 500,
-    };
-    let max_connections: usize = match flag_value(&args, "--max-conns") {
-        Some(n) => n.parse().map_err(|_| format!("bad connection cap '{n}'"))?,
-        None => 64,
-    };
-    let deadline_us: u64 = match flag_value(&args, "--deadline-us") {
-        Some(n) => n.parse().map_err(|_| format!("bad deadline '{n}'"))?,
-        None => 0,
-    };
-    let drain_timeout_ms: u64 = match flag_value(&args, "--drain-timeout-ms") {
-        Some(n) => n.parse().map_err(|_| format!("bad drain timeout '{n}'"))?,
-        None => 10_000,
-    };
-
     let server_config = ServerConfig {
-        addr: flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4321".to_string()),
+        addr: args.value("--addr").unwrap_or("127.0.0.1:4321").to_string(),
         max_connections,
         coalescer: CoalescerConfig {
             queue_cap,
@@ -165,7 +107,7 @@ fn run() -> Result<(), String> {
         },
         write_timeout: Duration::from_secs(5),
         drain_timeout: Duration::from_millis(drain_timeout_ms),
-        allow_remote_shutdown: !args.iter().any(|a| a == "--no-remote-shutdown"),
+        allow_remote_shutdown: !args.has("--no-remote-shutdown"),
     };
 
     let server = Server::spawn(pipeline, server_config).map_err(|e| e.to_string())?;
@@ -189,13 +131,6 @@ fn run() -> Result<(), String> {
         counters_at_exit.force_closed,
     );
     Ok(())
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 const HELP: &str = "\
