@@ -3,9 +3,8 @@
 //! Each row stores a reference segment as wide as the incoming read; a
 //! search drives the read onto the searchlines, every cell compares in
 //! parallel, the per-row mismatch counts land on the matchlines, and the
-//! sense amplifiers compare against `V_ref`. The sensing path is pluggable:
-//! [`CamArray::asmcap`] uses the charge-domain model,
-//! [`CamArray::edam`] the current-domain model.
+//! sense amplifiers compare against `V_ref` through the charge-domain
+//! sensing model ([`ChargeDomainCam`]).
 //!
 //! Rows are held 2-bit packed — one base per two SRAM bits, as in the
 //! silicon — and a search runs in two stages mirroring the hardware split:
@@ -17,8 +16,8 @@
 //! pre-pass vectorises lives in [`crate::cell`] / [`crate::driver`].
 
 use crate::fault::{ArrayFaults, FaultPlan, FaultTally};
-use asmcap_circuit::energy::{asmcap_array_search_energy, edam_array_search_energy};
-use asmcap_circuit::{ChargeDomainCam, CurrentDomainCam, MlCam, Rng, SenseAmp, VrefPolicy};
+use asmcap_circuit::energy::asmcap_array_search_energy;
+use asmcap_circuit::{ChargeDomainCam, Rng, SenseAmp, VrefPolicy};
 use asmcap_genome::{Base, PackedSeq};
 use asmcap_metrics::{ed_star_packed, hamming_packed};
 use std::fmt;
@@ -39,27 +38,6 @@ impl fmt::Display for MatchMode {
             MatchMode::EdStar => write!(f, "ED*"),
             MatchMode::Hamming => write!(f, "HD"),
         }
-    }
-}
-
-/// Per-search energy model of a sensing domain; implemented for the two CAM
-/// models so the array can account energy without knowing its domain.
-pub trait SearchEnergy {
-    /// Energy in joules of one search over a `rows × width` array whose
-    /// rows average `mean_n_mis` mismatched cells.
-    fn search_energy_j(&self, rows: usize, width: usize, mean_n_mis: f64) -> f64;
-}
-
-impl SearchEnergy for ChargeDomainCam {
-    fn search_energy_j(&self, rows: usize, width: usize, mean_n_mis: f64) -> f64 {
-        asmcap_array_search_energy(self.params(), rows, width, mean_n_mis)
-    }
-}
-
-impl SearchEnergy for CurrentDomainCam {
-    fn search_energy_j(&self, rows: usize, width: usize, mean_n_mis: f64) -> f64 {
-        let _ = mean_n_mis; // EDAM pre-charges and discharges regardless
-        edam_array_search_energy(self.params(), rows, width)
     }
 }
 
@@ -161,8 +139,8 @@ const VERDICT_MEMO: usize = 257;
 /// of certain rows costs one stream seek, taken before the next real draw
 /// or at [`CleanSense::flush`]. The memo lives on the stack, so a search
 /// over a few masked rows allocates nothing for it.
-struct CleanSense<'a, M> {
-    sense: &'a SenseAmp<M>,
+struct CleanSense<'a> {
+    sense: &'a SenseAmp<ChargeDomainCam>,
     width: usize,
     threshold: usize,
     verdicts: [Verdict; VERDICT_MEMO],
@@ -170,8 +148,8 @@ struct CleanSense<'a, M> {
     skipped: u64,
 }
 
-impl<'a, M: MlCam> CleanSense<'a, M> {
-    fn new(sense: &'a SenseAmp<M>, width: usize, threshold: usize) -> Self {
+impl<'a> CleanSense<'a> {
+    fn new(sense: &'a SenseAmp<ChargeDomainCam>, width: usize, threshold: usize) -> Self {
         Self {
             sense,
             width,
@@ -219,7 +197,7 @@ impl<'a, M: MlCam> CleanSense<'a, M> {
     }
 }
 
-/// An `M×N` content-addressable array over sensing model `M`.
+/// An `M×N` content-addressable array with charge-domain sensing.
 ///
 /// # Examples
 ///
@@ -237,16 +215,15 @@ impl<'a, M: MlCam> CleanSense<'a, M> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct CamArray<M> {
+pub struct CamArray {
     rows: Vec<PackedSeq>,
     width: usize,
     max_rows: usize,
-    sense: SenseAmp<M>,
-    supports_hd: bool,
+    sense: SenseAmp<ChargeDomainCam>,
     faults: Option<ArrayFaults>,
 }
 
-impl CamArray<ChargeDomainCam> {
+impl CamArray {
     /// An ASMCap array with the paper's charge-domain sensing and centred
     /// `V_ref` placement.
     ///
@@ -255,46 +232,6 @@ impl CamArray<ChargeDomainCam> {
     /// Panics if `max_rows` or `width` is zero.
     #[must_use]
     pub fn asmcap(max_rows: usize, width: usize) -> Self {
-        Self::with_sense(
-            max_rows,
-            width,
-            SenseAmp::new(ChargeDomainCam::paper(), VrefPolicy::Centered),
-            true,
-        )
-    }
-}
-
-impl CamArray<CurrentDomainCam> {
-    /// An EDAM array with current-domain sensing. EDAM hardware has no HD
-    /// MUX, so [`MatchMode::Hamming`] searches panic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rows` or `width` is zero.
-    #[must_use]
-    pub fn edam(max_rows: usize, width: usize) -> Self {
-        Self::with_sense(
-            max_rows,
-            width,
-            SenseAmp::new(CurrentDomainCam::paper(), VrefPolicy::Centered),
-            false,
-        )
-    }
-}
-
-impl<M: MlCam + SearchEnergy> CamArray<M> {
-    /// An array with a custom sense amplifier configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rows` or `width` is zero.
-    #[must_use]
-    pub fn with_sense(
-        max_rows: usize,
-        width: usize,
-        sense: SenseAmp<M>,
-        supports_hd: bool,
-    ) -> Self {
         assert!(
             max_rows > 0 && width > 0,
             "array dimensions must be positive"
@@ -303,8 +240,7 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
             rows: Vec::new(),
             width,
             max_rows,
-            sense,
-            supports_hd,
+            sense: SenseAmp::new(ChargeDomainCam::paper(), VrefPolicy::Centered),
             faults: None,
         }
     }
@@ -335,7 +271,7 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
 
     /// The sense amplifier (and through it, the sensing model).
     #[must_use]
-    pub fn sense(&self) -> &SenseAmp<M> {
+    pub fn sense(&self) -> &SenseAmp<ChargeDomainCam> {
         &self.sense
     }
 
@@ -390,8 +326,7 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the row does not exist, the read width differs, or HD mode
-    /// is requested on hardware without the HD MUX.
+    /// Panics if the row does not exist or the read width differs.
     #[must_use]
     pub fn row_mismatches(&self, row: usize, read: &[Base], mode: MatchMode) -> usize {
         assert_eq!(read.len(), self.width, "read must match the array width");
@@ -407,7 +342,6 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
     #[must_use]
     pub fn row_mismatches_packed(&self, row: usize, read: &PackedSeq, mode: MatchMode) -> usize {
         assert_eq!(read.len(), self.width, "read must match the array width");
-        self.check_mode(mode);
         match mode {
             MatchMode::EdStar => ed_star_packed(&self.rows[row], read),
             MatchMode::Hamming => hamming_packed(&self.rows[row], read),
@@ -438,9 +372,8 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the read width differs from the array width, HD mode is
-    /// requested on hardware without the HD MUX, `rows` is not strictly
-    /// ascending, or a listed row is unoccupied.
+    /// Panics if the read width differs from the array width, `rows` is not
+    /// strictly ascending, or a listed row is unoccupied.
     #[must_use]
     pub fn search(
         &self,
@@ -452,7 +385,6 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
         fault: Option<(&mut Rng, &mut FaultTally)>,
     ) -> SearchOutcome {
         assert_eq!(read.len(), self.width, "read must match the array width");
-        self.check_mode(mode);
         let rows = match rows {
             None => self.sense_rows(0..self.rows.len(), read, threshold, mode, rng, fault),
             Some(rows) => {
@@ -469,10 +401,12 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
             threshold,
             energy_j: 0.0,
         };
-        outcome.energy_j =
-            self.sense
-                .cam()
-                .search_energy_j(outcome.rows.len(), self.width, outcome.mean_n_mis());
+        outcome.energy_j = asmcap_array_search_energy(
+            self.sense.cam().params(),
+            outcome.rows.len(),
+            self.width,
+            outcome.mean_n_mis(),
+        );
         outcome
     }
 
@@ -676,19 +610,12 @@ impl<M: MlCam + SearchEnergy> CamArray<M> {
         }
         (n_eff, decision)
     }
-
-    fn check_mode(&self, mode: MatchMode) {
-        assert!(
-            self.supports_hd || mode == MatchMode::EdStar,
-            "this CAM has no HD-mode MUX (EDAM hardware)"
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asmcap_circuit::rng;
+    use asmcap_circuit::{rng, MlCam};
     use asmcap_genome::{DnaSeq, GenomeModel};
 
     fn seq(s: &str) -> DnaSeq {
@@ -763,37 +690,23 @@ mod tests {
     }
 
     #[test]
-    fn edam_array_rejects_hd_mode() {
-        let mut array = CamArray::edam(2, 8);
-        array.store_row(seq("ACGTACGT").as_slice()).unwrap();
-        let mut rng = rng(3);
-        let read = PackedSeq::from_seq(&seq("ACGTACGT"));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            array.search(&read, 1, MatchMode::Hamming, None, &mut rng, None)
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn search_reports_energy() {
-        let mut asmcap = CamArray::asmcap(4, 32);
-        let mut edam = CamArray::edam(4, 32);
+        let mut array = CamArray::asmcap(4, 32);
         let genome = GenomeModel::uniform().generate(200, 1);
         for i in 0..4 {
-            asmcap
+            array
                 .store_row(&genome.as_slice()[i * 40..i * 40 + 32])
-                .unwrap();
-            edam.store_row(&genome.as_slice()[i * 40..i * 40 + 32])
                 .unwrap();
         }
         let mut rng = rng(4);
         let read = PackedSeq::from_seq(&genome.window(60..92));
-        let a = asmcap.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
-        let e = edam.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
-        assert!(a.energy_j > 0.0);
-        assert!(
-            e.energy_j > a.energy_j,
-            "EDAM should burn more energy per search"
+        let outcome = array.search(&read, 2, MatchMode::EdStar, None, &mut rng, None);
+        assert!(outcome.energy_j > 0.0);
+        // The array charges the circuit model's search energy for the
+        // rows it sensed.
+        assert_eq!(
+            outcome.energy_j,
+            asmcap_array_search_energy(array.sense().cam().params(), 4, 32, outcome.mean_n_mis())
         );
     }
 
@@ -819,7 +732,7 @@ mod tests {
         assert_eq!(outcome.mean_n_mis(), 3.0);
     }
 
-    fn faulty_test_array() -> CamArray<ChargeDomainCam> {
+    fn faulty_test_array() -> CamArray {
         let genome = GenomeModel::uniform().generate(8_000, 31);
         let mut array = CamArray::asmcap(32, 64);
         for i in 0..32 {
@@ -999,7 +912,7 @@ mod tests {
     /// is the read (or, every fourth row, unrelated sequence) with
     /// `i % 12` substitutions, so a search has rows on, near and far from
     /// `V_ref`.
-    fn graded_test_array() -> (CamArray<ChargeDomainCam>, PackedSeq) {
+    fn graded_test_array() -> (CamArray, PackedSeq) {
         let genome = GenomeModel::uniform().generate(8_000, 41);
         let read = &genome.as_slice()[..64];
         let mut array = CamArray::asmcap(48, 64);
@@ -1021,7 +934,7 @@ mod tests {
     /// `search` over every row with faults as installed, but drawing every
     /// measurement through `MlCam::measure`: the always-drawing oracle.
     fn drawing_oracle(
-        array: &CamArray<ChargeDomainCam>,
+        array: &CamArray,
         read: &PackedSeq,
         t: usize,
         rng: &mut Rng,

@@ -6,19 +6,17 @@
 //!   three-way comparison logic (`O_L`/`O_C`/`O_R`), and the HDAC mode MUX;
 //! * [`driver`] — the searchline buffer/driver that turns a read into the
 //!   per-cell three-base windows;
-//! * [`registers`] — the shift registers with enable signal that rotate the
-//!   read for the TASR strategy;
-//! * [`mod@array`] — an `M×N` CAM array with matchline sensing through a
-//!   pluggable [`asmcap_circuit::MlCam`] model (charge-domain for ASMCap,
-//!   current-domain for EDAM) and sense amplifiers;
+//! * [`mod@array`] — an `M×N` CAM array with charge-domain matchline
+//!   sensing ([`asmcap_circuit::ChargeDomainCam`]) and sense amplifiers;
 //! * [`fault`] — seeded device fault injection ([`FaultPlan`]): stuck
 //!   cells, dead rows, capacitance drift, transient sense flips, plus the
 //!   re-sense voting and row-quarantine mitigations;
-//! * [`controller`] — the instruction sequencer with cycle accounting;
 //! * [`top`] — the full device: 512 arrays behind a global buffer and
 //!   H-tree, storing a segmented reference and searching reads against all
 //!   rows in one operation.
 //!
+//! The device is sequenced per read by `asmcap::DeviceBackend`, which
+//! issues the ED\*, HD-mode and rotated searches and accounts their cycles.
 //! The functional matching results are bit-exact with
 //! [`asmcap_metrics::ed_star`]; an integration test pins that equivalence.
 
@@ -27,21 +25,15 @@
 
 pub mod array;
 pub mod cell;
-pub mod controller;
 pub mod driver;
 pub mod fault;
-pub mod registers;
 pub mod top;
-pub mod trace;
 
 pub use array::{CamArray, MatchMode, RowSearchOutcome, SearchOutcome};
 pub use cell::AsmcapCell;
-pub use controller::{Controller, Instruction, RunStats};
 pub use driver::SlDriver;
 pub use fault::{ArrayFaults, FaultPlan, FaultTally, RowFaults, StuckCell};
-pub use registers::{RotateDirection, ShiftRegisterFile};
 pub use top::{
     AsmcapDevice, CapacityError, DeviceBuilder, DeviceMatch, DeviceSearchResult, RowId, RowMask,
     SearchStats,
 };
-pub use trace::{Trace, TraceEvent};

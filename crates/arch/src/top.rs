@@ -6,9 +6,9 @@
 //! written across the arrays; one search operation broadcasts a read to
 //! every array and senses all matchlines in parallel.
 
-use crate::array::{CamArray, MatchMode, SearchEnergy, SearchOutcome};
+use crate::array::{CamArray, MatchMode, SearchOutcome};
 use crate::fault::{FaultPlan, FaultTally};
-use asmcap_circuit::{ChargeDomainCam, CurrentDomainCam, MlCam, Rng};
+use asmcap_circuit::{MlCam, Rng};
 use asmcap_genome::{DnaSeq, PackedRef, PackedSeq, PackedWords as _};
 use std::fmt;
 
@@ -242,24 +242,10 @@ impl DeviceBuilder {
     ///
     /// Panics if any dimension is zero.
     #[must_use]
-    pub fn build_asmcap(&self) -> AsmcapDevice<ChargeDomainCam> {
+    pub fn build_asmcap(&self) -> AsmcapDevice {
         AsmcapDevice::from_arrays(
             (0..self.arrays)
                 .map(|_| CamArray::asmcap(self.rows, self.width))
-                .collect(),
-        )
-    }
-
-    /// Builds a current-domain (EDAM) device for baseline comparison.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    #[must_use]
-    pub fn build_edam(&self) -> AsmcapDevice<CurrentDomainCam> {
-        AsmcapDevice::from_arrays(
-            (0..self.arrays)
-                .map(|_| CamArray::edam(self.rows, self.width))
                 .collect(),
         )
     }
@@ -271,10 +257,10 @@ impl Default for DeviceBuilder {
     }
 }
 
-/// A full multi-array device over sensing model `M`.
+/// A full multi-array device.
 #[derive(Debug, Clone)]
-pub struct AsmcapDevice<M> {
-    arrays: Vec<CamArray<M>>,
+pub struct AsmcapDevice {
+    arrays: Vec<CamArray>,
     origins: Vec<usize>, // flat, in storage order
     // Whether `origins` strictly ascends (true for one stored reference; a
     // second `store_reference` call restarts at 0 and clears it), which is
@@ -287,14 +273,14 @@ pub struct AsmcapDevice<M> {
     width: usize,
 }
 
-impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
+impl AsmcapDevice {
     /// Wraps pre-built arrays (all must share one width).
     ///
     /// # Panics
     ///
     /// Panics if `arrays` is empty or widths disagree.
     #[must_use]
-    pub fn from_arrays(arrays: Vec<CamArray<M>>) -> Self {
+    pub fn from_arrays(arrays: Vec<CamArray>) -> Self {
         assert!(!arrays.is_empty(), "a device needs at least one array");
         let width = arrays[0].width();
         assert!(
@@ -348,7 +334,7 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
 
     /// The arrays, for inspection.
     #[must_use]
-    pub fn arrays(&self) -> &[CamArray<M>] {
+    pub fn arrays(&self) -> &[CamArray] {
         &self.arrays
     }
 
@@ -395,26 +381,6 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
         reference: &DnaSeq,
         stride: usize,
     ) -> Result<usize, CapacityError> {
-        self.store_packed_reference(&PackedRef::new(reference), stride)
-    }
-
-    /// [`AsmcapDevice::store_reference`] over an already packed reference:
-    /// each row is a word-aligned extraction from the single packing, never
-    /// an unpack/repack round trip.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CapacityError`] if the segmentation needs more rows than
-    /// the device has; nothing is stored in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero or the reference is shorter than one row.
-    pub fn store_packed_reference(
-        &mut self,
-        reference: &PackedRef,
-        stride: usize,
-    ) -> Result<usize, CapacityError> {
         assert!(stride > 0, "stride must be positive");
         assert!(
             reference.len() >= self.width,
@@ -428,6 +394,9 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
                 available_rows: free,
             });
         }
+        // Packed once; each row is a word-aligned extraction from this one
+        // packing, never an unpack/repack round trip.
+        let reference = PackedRef::new(reference);
         // Arrays fill in index order, so the first array with a free row
         // only moves forward: one cursor keeps the store O(rows + arrays).
         let mut cursor = 0;
@@ -582,7 +551,7 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     /// gives a guess, `(origin − origins[0]) / stride`, accepted only if
     /// that row really holds `origin`, and a binary search otherwise. The
     /// guess is exact for every layout and hits on the single-reference
-    /// stride grid [`AsmcapDevice::store_packed_reference`] writes, so a
+    /// stride grid [`AsmcapDevice::store_reference`] writes, so a
     /// mask costs `O(c)` for `c` candidates there (`O(c log rows)` at
     /// worst) — never `O(reference)`. Once a second reference is stored
     /// the origins no longer ascend and every stored row is checked.
@@ -632,7 +601,7 @@ impl<M: MlCam + SearchEnergy> AsmcapDevice<M> {
     }
 
     /// The arrays holding at least one row, with their indices.
-    fn occupied_arrays(&self) -> impl Iterator<Item = (usize, &CamArray<M>)> {
+    fn occupied_arrays(&self) -> impl Iterator<Item = (usize, &CamArray)> {
         self.arrays
             .iter()
             .enumerate()
@@ -702,7 +671,7 @@ mod tests {
     use asmcap_circuit::rng;
     use asmcap_genome::{ErrorProfile, GenomeModel, ReadSampler};
 
-    fn small_device() -> AsmcapDevice<ChargeDomainCam> {
+    fn small_device() -> AsmcapDevice {
         DeviceBuilder::new()
             .arrays(4)
             .rows_per_array(16)
@@ -959,7 +928,7 @@ mod tests {
     /// as an explicit row list, skipping arrays left with none, and
     /// threading the read's fault stream through every array.
     fn array_walk_oracle(
-        device: &AsmcapDevice<ChargeDomainCam>,
+        device: &AsmcapDevice,
         read: &PackedSeq,
         threshold: usize,
         mode: MatchMode,
@@ -1239,7 +1208,7 @@ mod tests {
     fn mask_for_origins_equals_a_binary_search_oracle() {
         // Every candidate's rows, found by binary-searching the candidate
         // list for each stored origin.
-        let oracle = |device: &AsmcapDevice<ChargeDomainCam>, candidates: &[usize]| {
+        let oracle = |device: &AsmcapDevice, candidates: &[usize]| {
             let mut mask = RowMask::new(device.stored_rows());
             for (flat, origin) in device.origins.iter().enumerate() {
                 if candidates.binary_search(origin).is_ok() {
@@ -1355,20 +1324,5 @@ mod tests {
         assert_eq!(plain, faulted);
         assert_eq!(faulted.stats.resensed, 0);
         assert_eq!(faulted.stats.requarried, 0);
-    }
-
-    #[test]
-    fn edam_device_builds_and_searches() {
-        let mut device = DeviceBuilder::new()
-            .arrays(2)
-            .rows_per_array(8)
-            .row_width(32)
-            .build_edam();
-        let genome = GenomeModel::uniform().generate(offset_len(10, 32, 32), 5);
-        device.store_reference(&genome, 32).unwrap();
-        let mut rng = rng(13);
-        let read = packed(&genome.window(0..32));
-        let result = device.search(&read, 1, MatchMode::EdStar, None, &mut rng, None);
-        assert!(result.matches.iter().any(|m| m.origin == 0));
     }
 }

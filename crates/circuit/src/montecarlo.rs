@@ -133,21 +133,6 @@ impl MonteCarlo {
     }
 }
 
-/// Paper-§V-D style comparison of the two sensing schemes: empirically
-/// distinguishable states of an `n`-wide row under *device variation only*
-/// (capacitor variation for ASMCap, current variation for EDAM), which is
-/// the scope of the paper's 566-vs-44 claim. Returns `(charge, current)`.
-#[must_use]
-pub fn state_comparison(n: usize) -> (usize, usize) {
-    let mc = MonteCarlo::default();
-    // 3σ budget per side ≈ 1.35e-3 error rate.
-    let budget = 0.00135;
-    let (charge_cam, current_cam) = device_variation_only_models();
-    let charge = mc.distinguishable_states(&charge_cam, n, budget);
-    let current = mc.distinguishable_states(&current_cam, n, budget);
-    (charge, current)
-}
-
 /// The two sensing models with every noise source beyond the published
 /// device variation zeroed out (no SA offset, no timing jitter) — the
 /// configuration under which the paper's §V-D state counts are derived.

@@ -6,16 +6,16 @@
 //! search cost". Three implementations ship:
 //!
 //! * [`DeviceBackend`] — the hardware-faithful path through the simulated
-//!   multi-array device (instruction-level cycle and energy accounting);
+//!   multi-array device (per-search cycle and energy accounting);
 //! * [`PairBackend`] — the per-pair [`crate::AsmcapEngine`] fast path used
 //!   by the accuracy sweeps: statistically equivalent sensing without
 //!   materialising arrays (and therefore without an energy model);
 //! * [`SoftwareBackend`] — a noiseless pure-software ED\* reference, the
 //!   functional ground truth the hardware paths approximate.
 //!
-//! Backends take `&self` and a **per-read seed**: all mutable state (sensing
-//! RNG, rotation registers) is created per read, which is what lets
-//! [`crate::AsmcapPipeline::map_batch`] shard reads across threads while
+//! Backends take `&self` and a **per-read seed**: all mutable state (the
+//! sensing, host-side and fault RNG streams) is created per read, so
+//! [`crate::AsmcapPipeline::map_batch`] can shard reads across threads while
 //! staying bit-identical to a sequential run.
 //!
 //! All three built-in backends run on the packed matchplane: the reference
@@ -32,7 +32,6 @@
 
 use crate::config::MapperConfig;
 use asmcap_arch::{AsmcapDevice, FaultPlan, MatchMode, RowId, RowMask};
-use asmcap_circuit::ChargeDomainCam;
 use asmcap_genome::{DnaSeq, PackedRef, PackedSeq};
 use asmcap_metrics::ed_star_packed;
 use rand::Rng as _;
@@ -156,7 +155,7 @@ pub fn segment_count(reference_len: usize, width: usize, stride: usize) -> usize
 /// result MUX for all rows), rather than once per pair.
 #[derive(Debug)]
 pub struct DeviceBackend {
-    device: AsmcapDevice<ChargeDomainCam>,
+    device: AsmcapDevice,
     config: MapperConfig,
     fault: Option<FaultPlan>,
 }
@@ -164,7 +163,7 @@ pub struct DeviceBackend {
 impl DeviceBackend {
     /// Wraps a device that already stores the segmented reference.
     #[must_use]
-    pub fn new(device: AsmcapDevice<ChargeDomainCam>, config: MapperConfig) -> Self {
+    pub fn new(device: AsmcapDevice, config: MapperConfig) -> Self {
         Self {
             device,
             config,
@@ -189,7 +188,7 @@ impl DeviceBackend {
 
     /// The wrapped device.
     #[must_use]
-    pub fn device(&self) -> &AsmcapDevice<ChargeDomainCam> {
+    pub fn device(&self) -> &AsmcapDevice {
         &self.device
     }
 
@@ -241,8 +240,8 @@ impl DeviceBackend {
         }
 
         // TASR: N_R rotated ED* searches, OR-ed into the result set. Each
-        // rotated read is what the shift register file would present after
-        // `amount` single-position rotations — computed word-parallel here.
+        // rotated read is what the hardware's shift registers would present
+        // after `amount` single-position rotations, computed word-parallel.
         if let Some(tasr) = self.config.tasr {
             if tasr.active(&self.config.profile, read.len(), t) {
                 for i in 1..=tasr.rotations {
@@ -466,7 +465,7 @@ mod tests {
     use asmcap_genome::{ErrorProfile, GenomeModel, ReadSampler};
     use asmcap_metrics::ed_star;
 
-    fn device_for(genome: &DnaSeq, width: usize, stride: usize) -> AsmcapDevice<ChargeDomainCam> {
+    fn device_for(genome: &DnaSeq, width: usize, stride: usize) -> AsmcapDevice {
         let rows = (genome.len() - width) / stride + 1;
         let mut device = DeviceBuilder::new()
             .arrays(rows.div_ceil(64))
@@ -539,14 +538,18 @@ mod tests {
             device_for(&genome, 256, 256),
             MapperConfig::paper(1, ErrorProfile::condition_a()),
         );
-        assert_eq!(map_one(&backend, &read, 3).searches, 2); // ED* + HD
+        let outcome = map_one(&backend, &read, 3);
+        assert_eq!(outcome.searches, 2); // ED* + HD
+        assert_eq!(outcome.cycles, 1 + outcome.searches); // latch + searches
 
         // Condition B: HDAC disabled, T=8 >= T_l=6 arms TASR (2 rotations).
         let backend = DeviceBackend::new(
             device_for(&genome, 256, 256),
             MapperConfig::paper(8, ErrorProfile::condition_b()),
         );
-        assert_eq!(map_one(&backend, &read, 4).searches, 3); // ED* + 2 rotated
+        let outcome = map_one(&backend, &read, 4);
+        assert_eq!(outcome.searches, 3); // ED* + 2 rotated
+        assert_eq!(outcome.cycles, 1 + outcome.searches); // latch + searches
     }
 
     #[test]

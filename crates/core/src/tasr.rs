@@ -18,8 +18,16 @@
 //! so rotation activates exactly where consecutive indels are plausible
 //! (`e_id` high) or the threshold is loose enough to be safe.
 
-use asmcap_arch::registers::RotateDirection;
-use asmcap_genome::{Base, ErrorProfile, PackedSeq};
+use asmcap_genome::{ErrorProfile, PackedSeq};
+
+/// Direction of one rotation step of the read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RotateDirection {
+    /// Towards lower indices (base 1 moves to position 0).
+    Left,
+    /// Towards higher indices (base 0 moves to position 1).
+    Right,
+}
 
 /// Which directions the rotated searches try.
 ///
@@ -61,26 +69,9 @@ impl RotationSchedule {
         }
     }
 
-    /// Applies the `i`-th rotation to a read.
-    #[must_use]
-    pub fn rotated(&self, read: &[Base], i: usize) -> Vec<Base> {
-        let (direction, amount) = self.step(i);
-        let mut out = read.to_vec();
-        if out.is_empty() {
-            return out;
-        }
-        let amount = amount % out.len();
-        match direction {
-            RotateDirection::Left => out.rotate_left(amount),
-            RotateDirection::Right => out.rotate_right(amount),
-        }
-        out
-    }
-
-    /// Applies the `i`-th rotation to a packed read — the word-level
-    /// equivalent of the shift-register file rotating `amount` positions in
-    /// `direction`, producing the same sequence [`RotationSchedule::rotated`]
-    /// yields on bases.
+    /// Applies the `i`-th rotation to a packed read, word-parallel: the
+    /// read the hardware's shift registers present after `amount`
+    /// single-position rotations in `direction`.
     #[must_use]
     pub fn rotated_packed(&self, read: &PackedSeq, i: usize) -> PackedSeq {
         let (direction, amount) = self.step(i);
@@ -204,24 +195,7 @@ impl Tasr {
     /// The caller supplies the original read's decision as `base` (the
     /// `i = 0` iteration of the paper's loop) and a `decide` closure that
     /// performs one search — on the pair engine or on the real device.
-    pub fn run(
-        &self,
-        base: bool,
-        read: &[Base],
-        threshold: usize,
-        mut decide: impl FnMut(&[Base]) -> bool,
-    ) -> (bool, u32) {
-        self.run_loop(
-            base,
-            read.len(),
-            threshold,
-            |schedule, i| schedule.rotated(read, i),
-            |rotated| decide(rotated),
-        )
-    }
-
-    /// [`Tasr::run`] over a packed read: identical gating, rotation
-    /// schedule, and early exit, with rotations applied word-parallel.
+    /// Rotations apply word-parallel to the packed read.
     pub fn run_packed(
         &self,
         base: bool,
@@ -229,32 +203,12 @@ impl Tasr {
         threshold: usize,
         mut decide: impl FnMut(&PackedSeq) -> bool,
     ) -> (bool, u32) {
-        self.run_loop(
-            base,
-            read.len(),
-            threshold,
-            |schedule, i| schedule.rotated_packed(read, i),
-            |rotated| decide(rotated),
-        )
-    }
-
-    /// The one Algorithm-2 loop both representations share: gate on
-    /// `(read_len, threshold)`, rotate per the schedule, early-exit on the
-    /// first match.
-    fn run_loop<T>(
-        &self,
-        base: bool,
-        read_len: usize,
-        threshold: usize,
-        rotate: impl Fn(&RotationSchedule, usize) -> T,
-        mut decide: impl FnMut(&T) -> bool,
-    ) -> (bool, u32) {
-        if base || !self.active(read_len, threshold) {
+        if base || !self.active(read.len(), threshold) {
             return (base, 0);
         }
         let mut issued = 0u32;
         for i in 1..=self.params.rotations {
-            let rotated = rotate(&self.params.schedule, i);
+            let rotated = self.params.schedule.rotated_packed(read, i);
             issued += 1;
             if decide(&rotated) {
                 return (true, issued);
@@ -268,7 +222,7 @@ impl Tasr {
 mod tests {
     use super::*;
     use asmcap_genome::{DnaSeq, GenomeModel};
-    use asmcap_metrics::ed_star;
+    use asmcap_metrics::ed_star_packed;
 
     #[test]
     fn paper_constants() {
@@ -321,12 +275,13 @@ mod tests {
         let mut read_bases = stored.clone().into_bases();
         read_bases.drain(10..12);
         read_bases.extend([asmcap_genome::Base::A, asmcap_genome::Base::A]);
-        let read = DnaSeq::from_bases(read_bases);
-        let original = ed_star(stored.as_slice(), read.as_slice());
+        let stored = PackedSeq::from_seq(&stored);
+        let read = PackedSeq::from_seq(&DnaSeq::from_bases(read_bases));
+        let original = ed_star_packed(&stored, &read);
         assert!(original > 10, "expected a blown-up ED*, got {original}");
         let schedule = RotationSchedule::Alternate;
         let best_rotated = (1..=2)
-            .map(|i| ed_star(stored.as_slice(), &schedule.rotated(read.as_slice(), i)))
+            .map(|i| ed_star_packed(&stored, &schedule.rotated_packed(&read, i)))
             .min()
             .unwrap();
         assert!(
@@ -338,18 +293,18 @@ mod tests {
     #[test]
     fn run_early_exits_and_counts_cycles() {
         let tasr = Tasr::new(TasrParams::paper(), ErrorProfile::condition_b());
-        let read: DnaSeq = "ACGTACGTACGTACGT".parse().unwrap();
+        let read = PackedSeq::from_seq(&"ACGTACGTACGTACGT".parse().unwrap());
         // Base already matched: no rotations issued.
-        let (matched, issued) = tasr.run(true, read.as_slice(), 16, |_| false);
+        let (matched, issued) = tasr.run_packed(true, &read, 16, |_| false);
         assert!(matched);
         assert_eq!(issued, 0);
         // Gate passes (T=16 >= T_l for 16-base read in condition B? T_l =
         // ceil(2e-4/0.01*16) = 1); first rotation matches -> 1 cycle.
-        let (matched, issued) = tasr.run(false, read.as_slice(), 16, |_| true);
+        let (matched, issued) = tasr.run_packed(false, &read, 16, |_| true);
         assert!(matched);
         assert_eq!(issued, 1);
         // Nothing matches -> N_R cycles.
-        let (matched, issued) = tasr.run(false, read.as_slice(), 16, |_| false);
+        let (matched, issued) = tasr.run_packed(false, &read, 16, |_| false);
         assert!(!matched);
         assert_eq!(issued, 2);
     }
@@ -357,11 +312,10 @@ mod tests {
     #[test]
     fn run_respects_the_gate() {
         let tasr = Tasr::new(TasrParams::paper(), ErrorProfile::condition_a());
-        let read: DnaSeq = "ACGT".repeat(64).parse().unwrap();
+        let read = PackedSeq::from_seq(&"ACGT".repeat(64).parse().unwrap());
         // Condition A, T=1 < T_l=52: the decide closure must never be called.
-        let (matched, issued) = tasr.run(false, read.as_slice(), 1, |_| {
-            panic!("rotation ran despite the gate")
-        });
+        let (matched, issued) =
+            tasr.run_packed(false, &read, 1, |_| panic!("rotation ran despite the gate"));
         assert!(!matched);
         assert_eq!(issued, 0);
     }

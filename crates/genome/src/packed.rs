@@ -191,7 +191,7 @@ impl PackedSeq {
 
     /// Returns a copy rotated left by `amount` bases (wrapping):
     /// `out[i] = self[(i + amount) % len]`, matching
-    /// [`crate::DnaSeq::rotated_left`] and the array's shift-register file.
+    /// [`crate::DnaSeq::rotated_left`].
     #[must_use]
     pub fn rotated_left(&self, amount: usize) -> PackedSeq {
         if self.len == 0 {

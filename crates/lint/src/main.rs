@@ -8,8 +8,8 @@
 //! cargo run -p asmcap-lint -- path/to/file.rs    # strict-context lint of ad-hoc files
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings (or fixture mismatch), 2 usage/IO
-//! error.
+//! Exit codes: 0 clean (or `--help`, which prints the usage on stdout),
+//! 1 findings (or fixture mismatch), 2 usage/IO error.
 
 #![deny(unsafe_code)]
 
@@ -27,6 +27,7 @@ struct Args {
     out: Option<PathBuf>,
     check_fixtures: bool,
     list_rules: bool,
+    help: bool,
     files: Vec<PathBuf>,
 }
 
@@ -44,6 +45,7 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         check_fixtures: false,
         list_rules: false,
+        help: false,
         files: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -62,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(PathBuf::from(it.next().ok_or("--out needs a PATH")?)),
             "--check-fixtures" => args.check_fixtures = true,
             "--list-rules" => args.list_rules = true,
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => args.help = true,
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`\n{}", usage()));
             }
@@ -80,6 +82,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if args.help {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     if args.list_rules {
         for id in RULE_IDS {
             println!("{id}");

@@ -22,8 +22,7 @@
 //! [`Cigar`] edit transcripts for the pipeline's extension stage.
 //!
 //! [`confusion`] provides the TP/FP/FN/TN bookkeeping and the F1 score used
-//! throughout the evaluation (paper Eq. 3–4), and [`stats`] small numeric
-//! helpers shared by the experiment harness.
+//! throughout the evaluation (paper Eq. 3–4).
 
 // Unsafe is denied crate-wide and allowed back in exactly one place: the
 // AVX2 lane loops in `kernels::avx2`, entered only behind a runtime
@@ -38,7 +37,6 @@ pub mod edit;
 pub mod edstar;
 pub mod hamming;
 pub mod kernels;
-pub mod stats;
 
 pub use align::{align_bases, align_packed, Alignment, Cigar};
 pub use confusion::ConfusionMatrix;
