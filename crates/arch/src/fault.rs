@@ -242,12 +242,6 @@ pub struct RowFaults {
 }
 
 impl RowFaults {
-    /// Whether this row perturbs a search at all.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        !self.dead && !self.quarantined && self.stuck.is_empty()
-    }
-
     /// The row's mismatch count against its **own** stored word — what the
     /// self-test scan senses. Only stuck-at-mismatch cells contribute.
     #[must_use]
@@ -365,7 +359,10 @@ mod tests {
         assert!(!plan.is_active());
         let faults = plan.instantiate(3, 16, 64);
         assert_eq!(faults.drift_states, 0.0);
-        assert!(faults.rows.iter().all(RowFaults::is_clean));
+        assert!(faults
+            .rows
+            .iter()
+            .all(|r| !r.dead && !r.quarantined && r.stuck.is_empty()));
     }
 
     #[test]

@@ -326,12 +326,6 @@ impl AsmcapDevice {
         self.origins.len()
     }
 
-    /// Reference capacity in bases at stride `stride`.
-    #[must_use]
-    pub fn reference_capacity(&self, stride: usize) -> usize {
-        self.capacity_rows().saturating_sub(1) * stride + self.width
-    }
-
     /// The arrays, for inspection.
     #[must_use]
     pub fn arrays(&self) -> &[CamArray] {
@@ -353,12 +347,6 @@ impl AsmcapDevice {
     #[must_use]
     pub fn quarantined_rows(&self) -> usize {
         self.arrays.iter().map(CamArray::quarantined_rows).sum()
-    }
-
-    /// Whether any array has fault state installed.
-    #[must_use]
-    pub fn has_faults(&self) -> bool {
-        self.arrays.iter().any(|a| a.faults().is_some())
     }
 
     /// Segments `reference` into row-width windows every `stride` bases and
@@ -688,8 +676,6 @@ mod tests {
         let device = small_device();
         assert_eq!(device.capacity_rows(), 64);
         assert_eq!(device.row_width(), 64);
-        assert_eq!(device.reference_capacity(64), 64 * 64);
-        assert_eq!(device.reference_capacity(1), 63 + 64);
     }
 
     #[test]
@@ -1276,7 +1262,9 @@ mod tests {
         let mut device = small_device();
         let genome = GenomeModel::uniform().generate(offset_len(60, 64, 16), 51);
         device.store_reference(&genome, 16).unwrap();
-        assert!(!device.has_faults());
+        let has_faults =
+            |device: &AsmcapDevice| device.arrays().iter().any(|a| a.faults().is_some());
+        assert!(!has_faults(&device));
         let plan = FaultPlan {
             seed: 2,
             dead_row_rate: 1.0,
@@ -1284,7 +1272,7 @@ mod tests {
             ..FaultPlan::none()
         };
         device.install_faults(&plan, 6);
-        assert!(device.has_faults());
+        assert!(has_faults(&device));
         assert_eq!(device.quarantined_rows(), device.stored_rows());
         let read = packed(&genome.window(320..384));
         let result = device.search(
@@ -1299,7 +1287,7 @@ mod tests {
         // Quarantined rows answer exactly: the true origin matches.
         assert!(result.matches.iter().any(|m| m.origin == 320));
         device.install_faults(&FaultPlan::none(), 6);
-        assert!(!device.has_faults());
+        assert!(!has_faults(&device));
         assert_eq!(device.quarantined_rows(), 0);
     }
 

@@ -1,9 +1,9 @@
 //! Shared fixtures for the criterion benchmarks.
 //!
-//! The benches regenerate the paper's tables/figures as *measured kernels*:
-//! `distances` and `fig7_accuracy` back Fig. 2/Fig. 7, `table1_circuit`
-//! backs Table I/Fig. 3, `array_search` the architecture layer,
-//! `strategies` the §IV overhead analyses, `baselines`/`fig8_perf` Fig. 8.
+//! The benches time the hot layers: `kernels` the packed ED\*/HD kernels,
+//! `array_search` the architecture layer, `prefilter` the seed lookup,
+//! `extension` the alignment stage and `pipeline_throughput` whole
+//! batches. The paper's tables and figures come from `asmcap_eval`.
 
 #![forbid(unsafe_code)]
 
@@ -23,13 +23,4 @@ pub fn pair(len: usize, profile: ErrorProfile) -> (DnaSeq, DnaSeq) {
     let read: SampledRead = sampler.sample(&genome, 0x9A12);
     let segment = read.aligned_segment(&genome);
     (segment, read.bases)
-}
-
-/// A deterministic pair of unrelated sequences (decoy workload).
-#[must_use]
-pub fn decoy_pair(len: usize) -> (DnaSeq, DnaSeq) {
-    (
-        GenomeModel::uniform().generate(len, 1),
-        GenomeModel::uniform().generate(len, 2),
-    )
 }

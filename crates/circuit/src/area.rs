@@ -1,6 +1,6 @@
 //! Area models (Table I and the §V-B area breakdown).
 
-use crate::params::{AsmcapParams, EdamParams, HDAC_AREA_OVERHEAD, TASR_AREA_OVERHEAD};
+use crate::params::{AsmcapParams, HDAC_AREA_OVERHEAD, TASR_AREA_OVERHEAD};
 
 /// Area breakdown of one ASMCap array.
 ///
@@ -53,12 +53,6 @@ pub fn asmcap_array_area_mm2(params: &AsmcapParams, rows: usize, cols: usize) ->
     base.total_mm2() * (1.0 + HDAC_AREA_OVERHEAD + TASR_AREA_OVERHEAD)
 }
 
-/// EDAM array area for comparison.
-#[must_use]
-pub fn edam_array_area_mm2(params: &EdamParams, rows: usize, cols: usize) -> f64 {
-    AreaBreakdown::for_array(params.cell_area_um2, rows, cols).total_mm2()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,7 +73,8 @@ mod tests {
     #[test]
     fn edam_cells_are_bigger() {
         let asmcap = asmcap_array_area_mm2(&AsmcapParams::paper(), 256, 256);
-        let edam = edam_array_area_mm2(&EdamParams::paper(), 256, 256);
+        let edam_cell = crate::params::EdamParams::paper().cell_area_um2;
+        let edam = AreaBreakdown::for_array(edam_cell, 256, 256).total_mm2();
         // Table I: 1.4x cell area ratio.
         assert!((edam / asmcap - 33.4 / 24.0).abs() < 0.02);
     }

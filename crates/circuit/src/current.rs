@@ -64,13 +64,6 @@ impl CurrentDomainCam {
         &self.params
     }
 
-    /// Nominal matchline voltage at the sampling instant, in volts:
-    /// `V_ML(t_s) = V_DD · (1 − n_mis/N)`.
-    #[must_use]
-    pub fn vml_at_sample(&self, n_mis: usize, n: usize) -> f64 {
-        self.params.vdd * (1.0 - n_mis as f64 / n as f64)
-    }
-
     /// Matchline discharge trace `V_ML(t)` for Fig. 3a: voltage at uniform
     /// time points in `[0, t_s]`, clamped at ground.
     ///

@@ -65,13 +65,6 @@ pub struct BackendOutcome {
 /// `(read, seed, shortlist)`, never on which worker ran it or which reads
 /// shared its batch.
 pub trait MappingBackend: Send + Sync {
-    /// Short display name for reports (e.g. `"device"`).
-    fn name(&self) -> &'static str;
-
-    /// Row width every read must match exactly (the pipeline truncates or
-    /// rejects other lengths before calling in).
-    fn row_width(&self) -> usize;
-
     /// Maps a batch of row-width reads — the one mapping entry point, which
     /// [`crate::AsmcapPipeline`] drains each executor tile through and a
     /// serving coalescer batches for.
@@ -204,7 +197,7 @@ impl DeviceBackend {
     fn run(&self, read: &PackedSeq, seed: u64, mask: Option<&RowMask>) -> BackendOutcome {
         assert_eq!(
             read.len(),
-            self.row_width(),
+            self.device.row_width(),
             "read must match the row width"
         );
         let t = self.config.threshold;
@@ -266,14 +259,6 @@ impl DeviceBackend {
 }
 
 impl MappingBackend for DeviceBackend {
-    fn name(&self) -> &'static str {
-        "device"
-    }
-
-    fn row_width(&self) -> usize {
-        self.device.row_width()
-    }
-
     fn map_batch_shortlisted(
         &self,
         reads: &[PackedSeq],
@@ -362,14 +347,6 @@ impl PairBackend {
 }
 
 impl MappingBackend for PairBackend {
-    fn name(&self) -> &'static str {
-        "pair"
-    }
-
-    fn row_width(&self) -> usize {
-        self.width
-    }
-
     fn map_batch_shortlisted(
         &self,
         reads: &[PackedSeq],
@@ -438,14 +415,6 @@ impl SoftwareBackend {
 }
 
 impl MappingBackend for SoftwareBackend {
-    fn name(&self) -> &'static str {
-        "software"
-    }
-
-    fn row_width(&self) -> usize {
-        self.width
-    }
-
     fn map_batch_shortlisted(
         &self,
         reads: &[PackedSeq],

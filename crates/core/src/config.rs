@@ -94,11 +94,10 @@ impl AsmcapConfig {
 
 /// Non-consuming builder for [`EdamEngine`].
 ///
-/// Defaults to the paper's EDAM baseline: published parameters, no sequence
-/// rotation.
+/// Defaults to the paper's EDAM baseline: published parameters, centred
+/// `V_ref`, seed 0.
 #[derive(Debug, Clone)]
 pub struct EdamConfig {
-    sr_rotations: Option<usize>,
     vref: VrefPolicy,
     params: EdamParams,
     seed: u64,
@@ -109,17 +108,10 @@ impl EdamConfig {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            sr_rotations: None,
             vref: VrefPolicy::Centered,
             params: EdamParams::paper(),
             seed: 0,
         }
-    }
-
-    /// Enables EDAM's plain (non-threshold-aware) sequence rotation.
-    pub fn sequence_rotation(&mut self, rotations: Option<usize>) -> &mut Self {
-        self.sr_rotations = rotations;
-        self
     }
 
     /// Overrides the `V_ref` placement policy.
@@ -144,13 +136,7 @@ impl EdamConfig {
     #[must_use]
     pub fn build(&self) -> EdamEngine {
         let sense = SenseAmp::new(CurrentDomainCam::new(self.params.clone()), self.vref);
-        let sr = self.sr_rotations.map(|n| {
-            Tasr::new(
-                TasrParams::plain_sr(n),
-                ErrorProfile::error_free(), // plain SR ignores the profile
-            )
-        });
-        EdamEngine::assemble(sense, sr, self.seed)
+        EdamEngine::assemble(sense, self.seed)
     }
 }
 
@@ -207,7 +193,6 @@ mod tests {
     fn defaults_build_the_paper_engine() {
         let engine = AsmcapConfig::new(ErrorProfile::condition_a()).build();
         assert_eq!(engine.name(), "ASMCap w/ H&T");
-        assert!(engine.hdac_active(1));
         let edam = EdamConfig::new().build();
         assert_eq!(edam.name(), "EDAM");
     }
@@ -220,12 +205,5 @@ mod tests {
         let b = config.build();
         assert_eq!(a.name(), b.name());
         assert_eq!(a.name(), "ASMCap w/ TASR");
-    }
-
-    #[test]
-    fn edam_with_sr_is_labelled() {
-        let mut config = EdamConfig::new();
-        config.sequence_rotation(Some(2));
-        assert_eq!(config.build().name(), "EDAM w/ SR");
     }
 }

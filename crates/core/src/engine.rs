@@ -11,7 +11,7 @@ use crate::hdac::Hdac;
 use crate::matcher::{AsmMatcher, MatchOutcome};
 use crate::tasr::Tasr;
 use crate::Rng;
-use asmcap_circuit::{ChargeDomainCam, CurrentDomainCam, SenseAmp, VrefPolicy};
+use asmcap_circuit::{ChargeDomainCam, CurrentDomainCam, SenseAmp};
 use asmcap_genome::{Base, ErrorProfile, PackedSeq, PackedWords};
 use asmcap_metrics::{ed_star_hamming_packed, ed_star_packed};
 
@@ -47,17 +47,6 @@ impl AsmcapEngine {
         crate::config::AsmcapConfig::new(profile).seed(seed).build()
     }
 
-    /// ASMCap without the correction strategies (the paper's
-    /// "ASMCap w/o H. and T." series).
-    #[must_use]
-    pub fn without_strategies(seed: u64) -> Self {
-        crate::config::AsmcapConfig::new(ErrorProfile::error_free())
-            .hdac(None)
-            .tasr(None)
-            .seed(seed)
-            .build()
-    }
-
     pub(crate) fn assemble(
         sense: SenseAmp<ChargeDomainCam>,
         hdac: Option<Hdac>,
@@ -84,20 +73,6 @@ impl AsmcapEngine {
     #[must_use]
     pub fn sense(&self) -> &SenseAmp<ChargeDomainCam> {
         &self.sense
-    }
-
-    /// Whether HDAC will issue its extra HD search at this threshold.
-    #[must_use]
-    pub fn hdac_active(&self, threshold: usize) -> bool {
-        self.hdac.as_ref().is_some_and(|h| h.active(threshold))
-    }
-
-    /// Whether TASR's rotation loop is armed at this read length/threshold.
-    #[must_use]
-    pub fn tasr_active(&self, read_len: usize, threshold: usize) -> bool {
-        self.tasr
-            .as_ref()
-            .is_some_and(|t| t.active(read_len, threshold))
     }
 
     /// One (segment, read, T) decision over packed operands — the
@@ -195,14 +170,12 @@ impl AsmMatcher for AsmcapEngine {
 }
 
 /// The EDAM baseline engine: identical ED\* matching semantics but
-/// current-domain sensing (and optionally EDAM's plain, non-threshold-aware
-/// sequence rotation).
+/// current-domain sensing, with no sequence rotation (the paper's Fig. 7
+/// baseline).
 #[derive(Debug)]
 pub struct EdamEngine {
     sense: SenseAmp<CurrentDomainCam>,
-    sr: Option<Tasr>,
     rng: Rng,
-    label: String,
 }
 
 impl EdamEngine {
@@ -212,13 +185,10 @@ impl EdamEngine {
         crate::config::EdamConfig::new().seed(seed).build()
     }
 
-    pub(crate) fn assemble(sense: SenseAmp<CurrentDomainCam>, sr: Option<Tasr>, seed: u64) -> Self {
-        let label = if sr.is_some() { "EDAM w/ SR" } else { "EDAM" }.to_owned();
+    pub(crate) fn assemble(sense: SenseAmp<CurrentDomainCam>, seed: u64) -> Self {
         Self {
             sense,
-            sr,
             rng: crate::rng(seed),
-            label,
         }
     }
 
@@ -251,24 +221,11 @@ impl EdamEngine {
         );
         let n = read.len();
         let n_mis = ed_star_packed(segment, read);
-        let mut decision = self.sense.decide(n_mis, n, threshold, &mut self.rng);
-        let mut cycles = 1u32;
-        let mut rotations = 0u32;
-        if let Some(sr) = self.sr {
-            let sense = &self.sense;
-            let rng = &mut self.rng;
-            let (matched, issued) = sr.run_packed(decision, read, threshold, |rotated| {
-                sense.decide(ed_star_packed(segment, rotated), n, threshold, rng)
-            });
-            decision = matched;
-            rotations = issued;
-            cycles += issued;
-        }
         MatchOutcome {
-            matched: decision,
-            cycles,
+            matched: self.sense.decide(n_mis, n, threshold, &mut self.rng),
+            cycles: 1,
             used_hd: false,
-            rotations,
+            rotations: 0,
         }
     }
 }
@@ -292,7 +249,7 @@ impl AsmMatcher for EdamEngine {
     }
 
     fn name(&self) -> &str {
-        &self.label
+        "EDAM"
     }
 }
 
@@ -310,20 +267,6 @@ pub fn fig7_engines(profile: ErrorProfile, seed: u64) -> (EdamEngine, AsmcapEngi
         .seed(seed.wrapping_add(2))
         .build();
     (edam, without, with)
-}
-
-/// A noise-free ASMCap engine (ideal sensing) for isolating algorithmic
-/// effects in tests and ablations.
-#[must_use]
-pub fn noiseless_asmcap(profile: ErrorProfile, seed: u64) -> AsmcapEngine {
-    let mut params = asmcap_circuit::params::AsmcapParams::paper();
-    params.cap_sigma_rel = 0.0;
-    params.sa_offset_states = 0.0;
-    crate::config::AsmcapConfig::new(profile)
-        .circuit_params(params)
-        .vref(VrefPolicy::Centered)
-        .seed(seed)
-        .build()
 }
 
 #[cfg(test)]
@@ -490,7 +433,11 @@ mod tests {
         let star = asmcap_metrics::ed_star(segment.as_slice(), noisy_read.as_slice());
         let t = star.saturating_sub(2);
         let mut edam = EdamEngine::paper(13);
-        let mut asmcap = AsmcapEngine::without_strategies(14);
+        let mut asmcap = crate::config::AsmcapConfig::new(ErrorProfile::error_free())
+            .hdac(None)
+            .tasr(None)
+            .seed(14)
+            .build();
         let trials = 3000;
         let edam_fp = (0..trials)
             .filter(|_| {
@@ -513,7 +460,14 @@ mod tests {
 
     #[test]
     fn noiseless_engine_equals_pure_edstar_decision() {
-        let mut engine = noiseless_asmcap(ErrorProfile::error_free(), 15);
+        // Ideal sensing: no capacitor mismatch, no SA offset.
+        let mut params = asmcap_circuit::params::AsmcapParams::paper();
+        params.cap_sigma_rel = 0.0;
+        params.sa_offset_states = 0.0;
+        let mut engine = crate::config::AsmcapConfig::new(ErrorProfile::error_free())
+            .circuit_params(params)
+            .seed(15)
+            .build();
         let genome = GenomeModel::uniform().generate(600, 11);
         let a = genome.window(0..256);
         let b = genome.window(300..556);

@@ -18,8 +18,8 @@
 //!
 //! The public mapping surface is one type: [`AsmcapPipeline`]. A builder
 //! loads and segments the reference once, picks an execution backend, and
-//! then maps single reads, batches (sharded across threads with
-//! worker-count-independent results), or read streams — yielding
+//! then maps single reads or batches (sharded across threads with
+//! worker-count-independent results) — yielding
 //! [`MapRecord`]s with per-read [`MapStatus`] and aggregated
 //! [`PipelineStats`]:
 //!
@@ -54,8 +54,8 @@
 //! trait: [`DeviceBackend`] (the simulated 512-array device with full cycle
 //! and energy accounting), [`PairBackend`] (the per-pair engine fast path
 //! used by the accuracy sweeps), and [`SoftwareBackend`] (a noiseless ED\*
-//! reference). Reads longer than the CAM row are handled by
-//! [`LongReadMapper`], which fragments them over a pipeline and votes.
+//! reference). A read longer than the CAM row has its row-width prefix
+//! searched and is marked [`MapStatus::Truncated`].
 //!
 //! The lower layers remain public for evaluation code: [`matcher`] (the
 //! [`AsmMatcher`] trait and reference matchers) and [`engine`]
@@ -70,7 +70,6 @@ pub mod config;
 pub mod engine;
 pub mod executor;
 pub mod extension;
-pub mod fragment;
 pub mod hdac;
 pub mod matcher;
 pub mod pipeline;
@@ -83,7 +82,6 @@ pub use backend::{
 pub use config::{AsmcapConfig, EdamConfig, MapperConfig};
 pub use engine::{AsmcapEngine, EdamEngine};
 pub use extension::ExtensionConfig;
-pub use fragment::{FragmentConfig, LongReadMapper, LongReadMapping};
 pub use hdac::{Hdac, HdacParams};
 pub use matcher::{AsmMatcher, ExactEdMatcher, MatchOutcome, NoiselessEdStarMatcher};
 pub use pipeline::{

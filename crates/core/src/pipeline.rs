@@ -7,8 +7,7 @@
 //!
 //! * [`AsmcapPipeline::map`] — one read;
 //! * [`AsmcapPipeline::map_batch`] — a slice of reads, sharded across
-//!   `std::thread::scope` workers;
-//! * [`AsmcapPipeline::map_iter`] — a read stream, mapped chunk-by-chunk.
+//!   `std::thread::scope` workers.
 //!
 //! Every read yields a [`MapRecord`] with a [`MapStatus`]
 //! (mapped / unmapped / truncated / rejected), and the pipeline aggregates
@@ -54,7 +53,6 @@ use asmcap_genome::{
     DnaSeq, ErrorProfile, PackedRef, PackedSeq, PrefilterConfig, PrefilterError, PrefilterIndex,
 };
 use asmcap_metrics::Alignment;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -192,6 +190,16 @@ impl BackendKind {
             )),
         }
     }
+
+    /// The backend's display name, as [`BackendKind::parse`] accepts it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Device => "device",
+            Self::Pair => "pair",
+            Self::Software => "software",
+        }
+    }
 }
 
 /// Why a pipeline could not be built.
@@ -208,6 +216,8 @@ pub enum PipelineError {
     },
     /// The segmentation stride is zero.
     ZeroStride,
+    /// The CAM row width is zero.
+    ZeroRowWidth,
     /// The prefilter configuration is unusable (k-mer length outside
     /// `1..=32`, zero minimizer window, or zero candidate cap).
     BadPrefilter(PrefilterError),
@@ -235,6 +245,7 @@ impl fmt::Display for PipelineError {
                 "reference of {reference} bases is shorter than one {row_width}-base row"
             ),
             PipelineError::ZeroStride => write!(f, "segmentation stride must be positive"),
+            PipelineError::ZeroRowWidth => write!(f, "row width must be positive"),
             PipelineError::BadPrefilter(e) => write!(f, "bad prefilter configuration: {e}"),
             PipelineError::Capacity(e) => write!(f, "{e}"),
             PipelineError::FaultUnsupported { backend } => write!(
@@ -254,8 +265,8 @@ pub enum MapStatus {
     Mapped,
     /// The read was searched but matched nothing.
     Unmapped,
-    /// The read was longer than the row width and its prefix was mapped
-    /// (candidates, if any, are in [`MapRecord::positions`]).
+    /// The read was longer than the row width and its row-width prefix
+    /// was searched (candidates, if any, are in [`MapRecord::positions`]).
     Truncated,
     /// The read was shorter than the row width and could not be searched.
     Rejected,
@@ -263,8 +274,8 @@ pub enum MapStatus {
 
 impl MapStatus {
     /// Whether the status is exactly [`MapStatus::Mapped`] — a full-width
-    /// read with candidates. A `Truncated` read can also carry candidates;
-    /// use [`MapRecord::has_candidates`] when that is the question.
+    /// read with candidates. A `Truncated` read can also carry candidates
+    /// (a non-empty [`MapRecord::positions`]).
     #[must_use]
     pub fn is_mapped(self) -> bool {
         matches!(self, MapStatus::Mapped)
@@ -314,15 +325,6 @@ pub struct MapRecord {
     /// (`resensed + requarried > 0`) — the read completed, but through a
     /// degraded path.
     pub degraded: bool,
-}
-
-impl MapRecord {
-    /// Whether any candidate positions were produced — true for `Mapped`
-    /// reads and for `Truncated` reads whose searched prefix matched.
-    #[must_use]
-    pub fn has_candidates(&self) -> bool {
-        !self.positions.is_empty()
-    }
 }
 
 /// Aggregated statistics across everything a pipeline has mapped.
@@ -397,7 +399,6 @@ pub struct PipelineBuilder {
     reference: Option<DnaSeq>,
     config: PipelineConfig,
     kind: BackendKind,
-    custom: Option<Box<dyn MappingBackend>>,
     workers: Option<usize>,
 }
 
@@ -407,7 +408,6 @@ impl fmt::Debug for PipelineBuilder {
             .field("reference_len", &self.reference.as_ref().map(DnaSeq::len))
             .field("config", &self.config)
             .field("kind", &self.kind)
-            .field("custom", &self.custom.as_ref().map(|b| b.name()))
             .field("workers", &self.workers)
             .finish()
     }
@@ -419,7 +419,6 @@ impl PipelineBuilder {
             reference: None,
             config: PipelineConfig::default(),
             kind: BackendKind::default(),
-            custom: None,
             workers: None,
         }
     }
@@ -524,14 +523,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// A user-supplied backend, overriding [`PipelineBuilder::backend`].
-    /// The backend's row width replaces the configured one.
-    #[must_use]
-    pub fn custom_backend(mut self, backend: impl MappingBackend + 'static) -> Self {
-        self.custom = Some(Box::new(backend));
-        self
-    }
-
     /// Worker threads for [`AsmcapPipeline::map_batch`] (default: available
     /// parallelism, capped at 8). Worker count never changes results.
     #[must_use]
@@ -544,132 +535,84 @@ impl PipelineBuilder {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::MissingReference`] without a reference (unless a
-    /// custom backend was supplied), [`PipelineError::ReferenceTooShort`] /
-    /// [`PipelineError::ZeroStride`] for degenerate geometry, and
-    /// [`PipelineError::Capacity`] if the device cannot hold the segments.
+    /// [`PipelineError::MissingReference`] without a reference,
+    /// [`PipelineError::ZeroRowWidth`] / [`PipelineError::ZeroStride`] /
+    /// [`PipelineError::ReferenceTooShort`] for degenerate geometry,
+    /// [`PipelineError::BadPrefilter`] for an unusable prefilter,
+    /// [`PipelineError::FaultUnsupported`] for an active fault plan off the
+    /// device backend, and [`PipelineError::Capacity`] if the device cannot
+    /// hold the segments.
     pub fn build(self) -> Result<AsmcapPipeline, PipelineError> {
         let config = self.config;
-        // The one validation rule both branches share: a reference must
-        // exist, segment on a positive stride, and hold at least one row.
-        let validate = |reference: Option<&DnaSeq>, width: usize| -> Result<(), PipelineError> {
-            let reference = reference.ok_or(PipelineError::MissingReference)?;
-            if config.stride == 0 {
-                return Err(PipelineError::ZeroStride);
-            }
-            if reference.len() < width {
-                return Err(PipelineError::ReferenceTooShort {
-                    reference: reference.len(),
-                    row_width: width,
-                });
-            }
-            Ok(())
-        };
-        // Builds the prefilter index over the packed reference (shared
-        // segmentation rule: `width`-base segments every `stride` bases).
-        let build_prefilter = |reference: &DnaSeq,
-                               width: usize|
-         -> Result<Option<PrefilterIndex>, PipelineError> {
-            config
-                .prefilter
-                .map(|prefilter| {
-                    PrefilterIndex::new(&PackedRef::new(reference), width, config.stride, prefilter)
-                        .map_err(PipelineError::BadPrefilter)
-                })
-                .transpose()
-        };
-        // Builds the extension stage over the same packed reference; the
-        // band derives from the threshold unless set explicitly.
-        let build_extension = |reference: &DnaSeq, width: usize| -> Option<ExtensionStage> {
-            config
-                .extension
-                .map(|extension| ExtensionStage::new(reference, width, config.threshold, extension))
-        };
+        let width = config.row_width;
+        let reference = self.reference.ok_or(PipelineError::MissingReference)?;
+        if width == 0 {
+            return Err(PipelineError::ZeroRowWidth);
+        }
+        if config.stride == 0 {
+            return Err(PipelineError::ZeroStride);
+        }
+        if reference.len() < width {
+            return Err(PipelineError::ReferenceTooShort {
+                reference: reference.len(),
+                row_width: width,
+            });
+        }
         // An active fault plan needs a simulated device to inject into.
         let fault_active = config.fault.as_ref().is_some_and(FaultPlan::is_active);
+        if fault_active && self.kind != BackendKind::Device {
+            return Err(PipelineError::FaultUnsupported {
+                backend: self.kind.name(),
+            });
+        }
+        // The prefilter index and the extension stage share the backend's
+        // segmentation: `width`-base segments every `stride` bases. The
+        // extension band derives from the threshold unless set explicitly.
+        let prefilter = config
+            .prefilter
+            .map(|prefilter| {
+                PrefilterIndex::new(&PackedRef::new(&reference), width, config.stride, prefilter)
+                    .map_err(PipelineError::BadPrefilter)
+            })
+            .transpose()?;
+        let extension = config
+            .extension
+            .map(|extension| ExtensionStage::new(&reference, width, config.threshold, extension));
         let mut quarantined = 0usize;
-        let (backend, prefilter, extension): (
-            Box<dyn MappingBackend>,
-            Option<PrefilterIndex>,
-            Option<ExtensionStage>,
-        ) = if let Some(custom) = self.custom {
-            if fault_active {
-                return Err(PipelineError::FaultUnsupported {
-                    backend: custom.name(),
-                });
+        let backend: Box<dyn MappingBackend> = match self.kind {
+            BackendKind::Device => {
+                let rows = crate::backend::segment_count(reference.len(), width, config.stride);
+                let mut device = DeviceBuilder::new()
+                    .arrays(rows.div_ceil(config.rows_per_array))
+                    .rows_per_array(config.rows_per_array)
+                    .row_width(width)
+                    .build_asmcap();
+                device
+                    .store_reference(&reference, config.stride)
+                    .map_err(PipelineError::Capacity)?;
+                let mut backend = DeviceBackend::new(device, config.mapper());
+                if let Some(plan) = &config.fault {
+                    // Install after the reference is stored, so faults land
+                    // on occupied rows and the self-test scan sees the real
+                    // stored words. An inactive plan is a no-op by
+                    // construction.
+                    backend.install_fault_plan(plan);
+                    quarantined = backend.quarantined_rows();
+                }
+                Box::new(backend)
             }
-            let width = custom.row_width();
-            // Both optional stages need the reference; a custom backend
-            // alone does not.
-            let (prefilter, extension) = if config.prefilter.is_some() || config.extension.is_some()
-            {
-                validate(self.reference.as_ref(), width)?;
-                let reference = self.reference.as_ref().expect("validated above");
-                (
-                    build_prefilter(reference, width)?,
-                    build_extension(reference, width),
-                )
-            } else {
-                (None, None)
-            };
-            (custom, prefilter, extension)
-        } else {
-            validate(self.reference.as_ref(), config.row_width)?;
-            let reference = self.reference.expect("validated above");
-            let prefilter = build_prefilter(&reference, config.row_width)?;
-            let extension = build_extension(&reference, config.row_width);
-            let backend: Box<dyn MappingBackend> = match self.kind {
-                BackendKind::Device => {
-                    let rows = crate::backend::segment_count(
-                        reference.len(),
-                        config.row_width,
-                        config.stride,
-                    );
-                    let mut device = DeviceBuilder::new()
-                        .arrays(rows.div_ceil(config.rows_per_array))
-                        .rows_per_array(config.rows_per_array)
-                        .row_width(config.row_width)
-                        .build_asmcap();
-                    device
-                        .store_reference(&reference, config.stride)
-                        .map_err(PipelineError::Capacity)?;
-                    let mut backend = DeviceBackend::new(device, config.mapper());
-                    if let Some(plan) = &config.fault {
-                        // Install after the reference is stored, so faults
-                        // land on occupied rows and the self-test scan sees
-                        // the real stored words. An inactive plan is a
-                        // no-op by construction.
-                        backend.install_fault_plan(plan);
-                        quarantined = backend.quarantined_rows();
-                    }
-                    Box::new(backend)
-                }
-                BackendKind::Pair => {
-                    if fault_active {
-                        return Err(PipelineError::FaultUnsupported { backend: "pair" });
-                    }
-                    Box::new(PairBackend::new(
-                        reference,
-                        config.stride,
-                        config.row_width,
-                        config.mapper(),
-                    ))
-                }
-                BackendKind::Software => {
-                    if fault_active {
-                        return Err(PipelineError::FaultUnsupported {
-                            backend: "software",
-                        });
-                    }
-                    Box::new(SoftwareBackend::new(
-                        reference,
-                        config.stride,
-                        config.row_width,
-                        config.threshold,
-                    ))
-                }
-            };
-            (backend, prefilter, extension)
+            BackendKind::Pair => Box::new(PairBackend::new(
+                reference,
+                config.stride,
+                width,
+                config.mapper(),
+            )),
+            BackendKind::Software => Box::new(SoftwareBackend::new(
+                reference,
+                config.stride,
+                width,
+                config.threshold,
+            )),
         };
         let workers = self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -678,10 +621,11 @@ impl PipelineBuilder {
                 .min(8)
         });
         Ok(AsmcapPipeline {
-            width: backend.row_width(),
             backend,
+            kind: self.kind,
             prefilter,
             extension,
+            width,
             workers,
             seed: config.seed,
             fault_armed: fault_active,
@@ -697,6 +641,7 @@ impl PipelineBuilder {
 /// construct one.
 pub struct AsmcapPipeline {
     backend: Box<dyn MappingBackend>,
+    kind: BackendKind,
     prefilter: Option<PrefilterIndex>,
     extension: Option<ExtensionStage>,
     width: usize,
@@ -711,7 +656,7 @@ pub struct AsmcapPipeline {
 impl fmt::Debug for AsmcapPipeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AsmcapPipeline")
-            .field("backend", &self.backend.name())
+            .field("backend", &self.kind.name())
             .field("prefilter", &self.prefilter.as_ref().map(PrefilterIndex::k))
             .field(
                 "extension",
@@ -740,7 +685,7 @@ impl AsmcapPipeline {
     /// The active backend's display name.
     #[must_use]
     pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+        self.kind.name()
     }
 
     /// Worker threads used by [`AsmcapPipeline::map_batch`].
@@ -779,12 +724,6 @@ impl AsmcapPipeline {
     #[must_use]
     pub fn stats(&self) -> PipelineStats {
         *self.stats_guard()
-    }
-
-    /// Resets the aggregated statistics (the read-index counter keeps
-    /// running so determinism is preserved).
-    pub fn reset_stats(&self) {
-        *self.stats_guard() = PipelineStats::default();
     }
 
     /// The stats lock. A thread that panicked while holding it poisons
@@ -898,8 +837,7 @@ impl AsmcapPipeline {
     }
 
     /// [`AsmcapPipeline::map`] over an already packed read — the zero-repack
-    /// entry point for callers that hold packed data (e.g. the long-read
-    /// fragmenter).
+    /// entry point for callers that hold packed data.
     pub fn map_packed(&self, read: &PackedSeq) -> MapRecord {
         // lint: timing-ok — wall_s is a stats field; decisions never read it.
         let start = Instant::now();
@@ -996,78 +934,6 @@ impl AsmcapPipeline {
         stats.wall_s += start.elapsed().as_secs_f64();
         records
     }
-
-    /// Maps a read stream lazily: reads are pulled in chunks sized from the
-    /// executor tile ([`crate::executor::TILE`] per worker — enough to keep
-    /// every worker's queue non-empty without buffering hundreds of reads
-    /// ahead of the consumer), each chunk goes through
-    /// [`AsmcapPipeline::map_batch`], and records are yielded in input
-    /// order. A partial tail chunk (stream ends mid-chunk) is flushed
-    /// immediately rather than waiting for a full chunk.
-    ///
-    /// # Why there is no flush timeout here
-    ///
-    /// `asmcap-serve`'s coalescer flushes a partial batch after a deadline
-    /// because its requests arrive **asynchronously** — a half-full batch
-    /// might stay half-full forever while clients are idle. `map_iter`'s
-    /// source is a synchronous iterator: `next()` either yields a read or
-    /// ends the stream, so a chunk fills as fast as the source can produce
-    /// and the tail flushes the moment the source is exhausted — there is
-    /// no idle waiting a timeout could cut short. The one stall mode left
-    /// is a source that itself *blocks* inside `next()` (e.g. an iterator
-    /// over a channel): time-based flushing cannot be bolted on here
-    /// without threads, so such callers should either shrink the chunk
-    /// ([`MapIter::with_chunk`], down to 1 for read-at-a-time latency) or
-    /// use `asmcap-serve`'s coalescer, which exists precisely for
-    /// asynchronous arrivals.
-    pub fn map_iter<I>(&self, reads: I) -> MapIter<'_, I::IntoIter>
-    where
-        I: IntoIterator<Item = DnaSeq>,
-    {
-        MapIter {
-            pipeline: self,
-            reads: reads.into_iter(),
-            chunk: (self.workers * crate::executor::TILE).max(1),
-            buffered: VecDeque::new(),
-        }
-    }
-}
-
-/// Streaming adapter returned by [`AsmcapPipeline::map_iter`].
-#[derive(Debug)]
-pub struct MapIter<'p, I> {
-    pipeline: &'p AsmcapPipeline,
-    reads: I,
-    chunk: usize,
-    buffered: VecDeque<MapRecord>,
-}
-
-impl<I> MapIter<'_, I> {
-    /// Overrides the pull-chunk size (clamped to at least 1). Smaller
-    /// chunks trade batching efficiency for lower latency against sources
-    /// that block inside `next()`; `with_chunk(1)` maps read-at-a-time.
-    /// Results are chunk-size-independent (the per-read seed depends only
-    /// on the read's index — see the [module docs](self)).
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
-    }
-}
-
-impl<I: Iterator<Item = DnaSeq>> Iterator for MapIter<'_, I> {
-    type Item = MapRecord;
-
-    fn next(&mut self) -> Option<MapRecord> {
-        if self.buffered.is_empty() {
-            let batch: Vec<DnaSeq> = self.reads.by_ref().take(self.chunk).collect();
-            if batch.is_empty() {
-                return None;
-            }
-            self.buffered = self.pipeline.map_batch(&batch).into();
-        }
-        self.buffered.pop_front()
-    }
 }
 
 #[cfg(test)]
@@ -1103,7 +969,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PipelineError::ReferenceTooShort { .. }));
         let err = AsmcapPipeline::builder()
-            .reference(genome)
+            .reference(genome.clone())
             .config(PipelineConfig {
                 row_width: 64,
                 stride: 0,
@@ -1112,6 +978,16 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, PipelineError::ZeroStride);
+        let err = AsmcapPipeline::builder()
+            .reference(genome)
+            .config(PipelineConfig {
+                row_width: 0,
+                ..PipelineConfig::default()
+            })
+            .build()
+            .unwrap_err();
+        assert_eq!(err, PipelineError::ZeroRowWidth);
+        assert!(err.to_string().contains("row width"), "{err}");
     }
 
     #[test]
@@ -1178,52 +1054,6 @@ mod tests {
     }
 
     #[test]
-    fn prefilter_with_custom_backend_needs_a_reference() {
-        use asmcap_genome::PrefilterConfig;
-        struct Always;
-        impl crate::MappingBackend for Always {
-            fn name(&self) -> &'static str {
-                "always"
-            }
-            fn row_width(&self) -> usize {
-                64
-            }
-            fn map_batch_shortlisted(
-                &self,
-                reads: &[PackedSeq],
-                _seeds: &[u64],
-                _shortlists: &[Option<Vec<usize>>],
-            ) -> Vec<crate::BackendOutcome> {
-                let outcome = crate::BackendOutcome {
-                    positions: vec![0],
-                    cycles: 2,
-                    searches: 1,
-                    energy_j: 0.0,
-                    ..crate::BackendOutcome::default()
-                };
-                vec![outcome; reads.len()]
-            }
-        }
-        let err = AsmcapPipeline::builder()
-            .custom_backend(Always)
-            .prefilter(PrefilterConfig::default())
-            .build()
-            .unwrap_err();
-        assert_eq!(err, PipelineError::MissingReference);
-        // With a reference, the prefilter shortlists for the custom
-        // backend too (this one ignores the hint).
-        let genome = GenomeModel::uniform().generate(2_048, 10);
-        let pipeline = AsmcapPipeline::builder()
-            .reference(genome.clone())
-            .custom_backend(Always)
-            .prefilter(PrefilterConfig::default())
-            .build()
-            .unwrap();
-        assert!(pipeline.prefilter().is_some());
-        assert_eq!(pipeline.map(&genome.window(0..64)).positions, vec![0]);
-    }
-
-    #[test]
     fn statuses_cover_all_read_lengths() {
         let (pipeline, genome) = pipeline(2);
         let exact = pipeline.map(&genome.window(100..164));
@@ -1248,18 +1078,6 @@ mod tests {
     }
 
     #[test]
-    fn map_iter_matches_map_batch() {
-        let (a, genome) = pipeline(2);
-        let (b, _) = pipeline(2);
-        let reads: Vec<DnaSeq> = (0..10)
-            .map(|i| genome.window(i * 64..(i + 1) * 64))
-            .collect();
-        let batched = a.map_batch(&reads);
-        let streamed: Vec<MapRecord> = b.map_iter(reads).collect();
-        assert_eq!(batched, streamed);
-    }
-
-    #[test]
     fn a_panic_holding_the_stats_lock_does_not_break_later_calls() {
         let (mapped, genome) = pipeline(2);
         let reads: Vec<PackedSeq> = (0..6)
@@ -1278,8 +1096,6 @@ mod tests {
         assert_eq!(mapped.stats().reads, 0);
         assert_eq!(mapped.map_batch_packed_indexed(&reads, &indices), expected);
         assert_eq!(mapped.stats().reads, 6);
-        mapped.reset_stats();
-        assert_eq!(mapped.stats(), PipelineStats::default());
     }
 
     #[test]

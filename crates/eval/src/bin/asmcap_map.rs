@@ -2,7 +2,7 @@
 //! batch-first [`asmcap::AsmcapPipeline`], emitting TSV; usage in `--help`.
 
 use asmcap::args::Args;
-use asmcap::{BackendKind, PipelineConfig};
+use asmcap::{AsmcapPipeline, BackendKind, PipelineConfig};
 use asmcap_eval::cli::{map_records, TSV_HEADER, TSV_HEADER_EXTENDED};
 use asmcap_genome::{fasta, fastq, DnaSeq, ErrorProfile};
 use std::io::BufReader;
@@ -51,9 +51,9 @@ fn run() -> Result<(), String> {
         None => BackendKind::Device,
     };
     let workers = args.parsed("--workers")?;
-
-    let (reference, reads) = if args.has("--demo") {
-        demo_data(config.row_width)
+    // `None` reads path = demo reads, sampled once the row width is known.
+    let (reference, reads_path) = if args.has("--demo") {
+        (demo_reference(), None)
     } else {
         let ref_path = args
             .value("--reference")
@@ -69,15 +69,30 @@ fn run() -> Result<(), String> {
             .next()
             .ok_or("reference FASTA contains no records")?
             .seq;
-        let reads_file = std::fs::File::open(reads_path)
-            .map_err(|e| format!("cannot open {reads_path}: {e}"))?;
-        let reads = fastq::read_fastq(BufReader::new(reads_file)).map_err(|e| e.to_string())?;
-        (reference, reads)
+        (reference, Some(reads_path))
     };
 
+    // The pipeline is built before any read is loaded or sampled, so a
+    // bad geometry is reported as a typed error first.
     let extended = config.extension.is_some();
-    let run =
-        map_records(&reference, &reads, &config, backend, workers).map_err(|e| e.to_string())?;
+    let mut builder = AsmcapPipeline::builder()
+        .reference(reference.clone())
+        .config(config)
+        .backend(backend);
+    if let Some(workers) = workers {
+        builder = builder.workers(workers);
+    }
+    let pipeline = builder.build().map_err(|e| e.to_string())?;
+
+    let reads = match reads_path {
+        None => demo_reads(&reference, pipeline.row_width()),
+        Some(reads_path) => {
+            let reads_file = std::fs::File::open(reads_path)
+                .map_err(|e| format!("cannot open {reads_path}: {e}"))?;
+            fastq::read_fastq(BufReader::new(reads_file)).map_err(|e| e.to_string())?
+        }
+    };
+    let run = map_records(&pipeline, &reads);
     println!(
         "{}",
         if extended {
@@ -164,12 +179,14 @@ fn parse_fault(args: &Args) -> Result<Option<asmcap::FaultPlan>, String> {
     }
 }
 
-fn demo_data(row_width: usize) -> (DnaSeq, Vec<fastq::FastqRecord>) {
-    use asmcap_genome::{ErrorProfile, GenomeModel, ReadSampler};
-    let genome = GenomeModel::human_like().generate(20_000, 7);
-    let sampler = ReadSampler::new(row_width, ErrorProfile::condition_a());
-    let reads = sampler
-        .sample_many(&genome, 10, 11)
+fn demo_reference() -> DnaSeq {
+    asmcap_genome::GenomeModel::human_like().generate(20_000, 7)
+}
+
+fn demo_reads(genome: &DnaSeq, row_width: usize) -> Vec<fastq::FastqRecord> {
+    let sampler = asmcap_genome::ReadSampler::new(row_width, ErrorProfile::condition_a());
+    sampler
+        .sample_many(genome, 10, 11)
         .into_iter()
         .enumerate()
         .map(|(i, r)| fastq::FastqRecord {
@@ -177,8 +194,7 @@ fn demo_data(row_width: usize) -> (DnaSeq, Vec<fastq::FastqRecord>) {
             quals: vec![38; r.bases.len()],
             seq: r.bases,
         })
-        .collect();
-    (genome, reads)
+        .collect()
 }
 
 const HELP: &str = "\

@@ -2,15 +2,13 @@
 //! TSV mappings out — the adoption path for running the simulated
 //! accelerator on real data.
 //!
-//! [`map_records`] is the library entry point the binary uses: it builds an
-//! [`AsmcapPipeline`] from one [`PipelineConfig`], maps the whole FASTQ
-//! batch across workers, and returns per-read [`MappingRow`]s (including
-//! truncated/rejected statuses — nothing is dropped silently) plus the
-//! aggregated [`PipelineStats`] for the run summary.
+//! [`map_records`] is the library entry point the binary uses: it maps the
+//! whole FASTQ batch across an [`AsmcapPipeline`]'s workers and returns
+//! per-read [`MappingRow`]s (including truncated/rejected statuses —
+//! nothing is dropped silently) plus the aggregated [`PipelineStats`] for
+//! the run summary.
 
-use asmcap::{
-    AsmcapPipeline, BackendKind, MapStatus, PipelineConfig, PipelineError, PipelineStats,
-};
+use asmcap::{AsmcapPipeline, MapStatus, PipelineStats};
 use asmcap_genome::fastq::FastqRecord;
 use asmcap_genome::DnaSeq;
 use std::fmt;
@@ -129,31 +127,13 @@ impl MapRun {
     }
 }
 
-/// Maps FASTQ reads against a reference through an [`AsmcapPipeline`].
+/// Maps FASTQ reads through an [`AsmcapPipeline`] in one batch.
 ///
 /// Reads longer than the row width are truncated to it and surfaced with
 /// [`MapStatus::Truncated`]; shorter reads come back [`MapStatus::Rejected`]
 /// instead of aborting the run.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] when the pipeline cannot be built (e.g. a
-/// reference shorter than one row).
-pub fn map_records(
-    reference: &DnaSeq,
-    reads: &[FastqRecord],
-    config: &PipelineConfig,
-    backend: BackendKind,
-    workers: Option<usize>,
-) -> Result<MapRun, PipelineError> {
-    let mut builder = AsmcapPipeline::builder()
-        .reference(reference.clone())
-        .config(config.clone())
-        .backend(backend);
-    if let Some(workers) = workers {
-        builder = builder.workers(workers);
-    }
-    let pipeline = builder.build()?;
+#[must_use]
+pub fn map_records(pipeline: &AsmcapPipeline, reads: &[FastqRecord]) -> MapRun {
     let seqs: Vec<DnaSeq> = reads.iter().map(|r| r.seq.clone()).collect();
     let rows = pipeline
         .map_batch(&seqs)
@@ -167,16 +147,27 @@ pub fn map_records(
             alignment: record.alignment,
         })
         .collect();
-    Ok(MapRun {
+    MapRun {
         rows,
         stats: pipeline.stats(),
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asmcap::{BackendKind, PipelineConfig};
     use asmcap_genome::{ErrorProfile, GenomeModel, ReadSampler};
+
+    /// Builds a device pipeline over `genome` and maps `reads` through it.
+    fn map_on_device(genome: &DnaSeq, reads: &[FastqRecord], config: &PipelineConfig) -> MapRun {
+        let pipeline = AsmcapPipeline::builder()
+            .reference(genome.clone())
+            .config(config.clone())
+            .build()
+            .unwrap();
+        map_records(&pipeline, reads)
+    }
 
     fn fastq_reads(genome: &DnaSeq, count: usize, len: usize) -> Vec<FastqRecord> {
         let sampler = ReadSampler::new(len, ErrorProfile::condition_a());
@@ -204,7 +195,7 @@ mod tests {
     fn maps_synthetic_fastq_against_reference() {
         let genome = GenomeModel::uniform().generate(8_000, 1);
         let reads = fastq_reads(&genome, 6, 128);
-        let run = map_records(&genome, &reads, &config(128, 8), BackendKind::Device, None).unwrap();
+        let run = map_on_device(&genome, &reads, &config(128, 8));
         assert_eq!(run.rows.len(), 6);
         assert_eq!(run.stats.mapped, 6);
         for row in &run.rows {
@@ -237,7 +228,7 @@ mod tests {
                 quals: vec![40; 400],
             },
         ];
-        let run = map_records(&genome, &reads, &config(256, 8), BackendKind::Device, None).unwrap();
+        let run = map_on_device(&genome, &reads, &config(256, 8));
         assert_eq!(run.rows[0].status, MapStatus::Rejected);
         assert_eq!(run.rows[1].status, MapStatus::Truncated);
         assert!(
@@ -253,7 +244,7 @@ mod tests {
         let genome = GenomeModel::uniform().generate(8_000, 4);
         let foreign = GenomeModel::uniform().generate(8_000, 99);
         let reads = fastq_reads(&foreign, 2, 128);
-        let run = map_records(&genome, &reads, &config(128, 4), BackendKind::Device, None).unwrap();
+        let run = map_on_device(&genome, &reads, &config(128, 4));
         for row in run.rows {
             assert!(row.positions.is_empty());
             assert_eq!(row.status, MapStatus::Unmapped);
@@ -270,7 +261,7 @@ mod tests {
             extension: Some(ExtensionConfig::default()),
             ..config(128, 8)
         };
-        let run = map_records(&genome, &reads, &config, BackendKind::Device, None).unwrap();
+        let run = map_on_device(&genome, &reads, &config);
         assert!(run.stats.aligned > 0);
         assert!(run.summary().contains("reads aligned"));
         for row in &run.rows {
@@ -289,8 +280,7 @@ mod tests {
             }
         }
         // Off by default: the plain config never populates the field.
-        let plain =
-            map_records(&genome, &reads, &config_plain(), BackendKind::Device, None).unwrap();
+        let plain = map_on_device(&genome, &reads, &config_plain());
         assert!(plain.rows.iter().all(|r| r.alignment.is_none()));
         assert_eq!(plain.stats.aligned, 0);
     }
@@ -308,7 +298,14 @@ mod tests {
             BackendKind::Pair,
             BackendKind::Software,
         ] {
-            let run = map_records(&genome, &reads, &config(128, 8), backend, Some(2)).unwrap();
+            let pipeline = AsmcapPipeline::builder()
+                .reference(genome.clone())
+                .config(config(128, 8))
+                .backend(backend)
+                .workers(2)
+                .build()
+                .unwrap();
+            let run = map_records(&pipeline, &reads);
             assert_eq!(run.rows.len(), 2, "{backend:?}");
             assert!(run.rows.iter().all(|r| r.status == MapStatus::Mapped));
         }

@@ -190,12 +190,6 @@ impl EvalDataset {
         self.gt_distance[index] <= threshold
     }
 
-    /// Number of ground-truth positives at `threshold`.
-    #[must_use]
-    pub fn positives(&self, threshold: usize) -> usize {
-        self.gt_distance.iter().filter(|&&d| d <= threshold).count()
-    }
-
     /// Scores a matcher over every pair at one threshold, through the
     /// packed pairs cached at build time ([`AsmMatcher::matches_packed`]).
     /// Decisions are identical to the byte-per-base path — the engines'
@@ -318,22 +312,6 @@ mod tests {
                     ds.distance(index)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn exact_matcher_scores_perfectly_on_context_distance() {
-        // The oracle matcher that uses the same context-aware distance as
-        // the ground truth must score F1 = 1. ExactEdMatcher compares
-        // against the bare segment, so give it the slack-extended distance
-        // instead: here we just verify the GT bookkeeping is consistent.
-        let ds = tiny();
-        for t in Condition::A.thresholds() {
-            let positives = ds.positives(t);
-            let recount = (0..ds.pairs().pairs().len())
-                .filter(|&i| ds.ground_truth(i, t))
-                .count();
-            assert_eq!(positives, recount);
         }
     }
 

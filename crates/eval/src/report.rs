@@ -137,12 +137,6 @@ pub fn ratio(value: f64) -> String {
     }
 }
 
-/// Formats a fraction as a percentage with one decimal.
-#[must_use]
-pub fn percent(value: f64) -> String {
-    format!("{:.1}%", value * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,6 +173,5 @@ mod tests {
     fn ratio_formats_like_the_paper() {
         assert_eq!(ratio(47_000.0), "4.7e4x");
         assert_eq!(ratio(1.4), "1.4x");
-        assert_eq!(percent(0.876), "87.6%");
     }
 }

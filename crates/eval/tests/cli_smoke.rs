@@ -222,17 +222,29 @@ fn asmcap_map_runs_on_synthetic_fasta_fastq() {
         "missing alignment summary in stderr:\n{stderr}"
     );
 
+    // A zero row width over real files is the same typed error.
+    let (code, stderr) = run_map(&[
+        "--reference",
+        ref_path.to_str().expect("utf-8 path"),
+        "--reads",
+        reads_path.to_str().expect("utf-8 path"),
+        "--row-width",
+        "0",
+    ]);
+    assert_eq!(code, Some(1), "zero row width did not exit 1:\n{stderr}");
+    assert!(stderr.contains("row width must be positive"), "{stderr}");
+
     std::fs::remove_dir_all(&dir).expect("clean temp dir");
 }
 
-/// Runs `asmcap_map` on `args` and returns `(exit success, stderr)`.
-fn run_map(args: &[&str]) -> (bool, String) {
+/// Runs `asmcap_map` on `args` and returns `(exit code, stderr)`.
+fn run_map(args: &[&str]) -> (Option<i32>, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_asmcap_map"))
         .args(args)
         .output()
         .expect("spawn asmcap_map");
     (
-        output.status.success(),
+        output.status.code(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
 }
@@ -249,10 +261,26 @@ fn unknown_flag_exits_nonzero_naming_the_flag() {
         (&["--demo", "--treshold", "6"][..], "--treshold"),
         (&["--demo", "stray"][..], "stray"),
     ] {
-        let (ok, stderr) = run_map(args);
-        assert!(!ok, "{args:?} exited zero");
+        let (code, stderr) = run_map(args);
+        assert_eq!(code, Some(1), "{args:?} did not exit 1");
         assert!(
             stderr.contains("unknown flag") && stderr.contains(named),
+            "{args:?}: stderr does not name {named}:\n{stderr}"
+        );
+    }
+    // A zero geometry is a typed pipeline error, caught before any demo
+    // read is sampled.
+    for (args, named) in [
+        (
+            &["--demo", "--row-width", "0"][..],
+            "row width must be positive",
+        ),
+        (&["--demo", "--stride", "0"][..], "stride must be positive"),
+    ] {
+        let (code, stderr) = run_map(args);
+        assert_eq!(code, Some(1), "{args:?} did not exit 1:\n{stderr}");
+        assert!(
+            stderr.contains(named),
             "{args:?}: stderr does not name {named}:\n{stderr}"
         );
     }
@@ -270,16 +298,16 @@ fn valueless_flag_exits_nonzero_naming_the_flag() {
         (&["--demo", "--threshold"][..], "--threshold"),
         (&["--demo", "--seed", "--prefilter"][..], "--seed"),
     ] {
-        let (ok, stderr) = run_map(args);
-        assert!(!ok, "{args:?} exited zero");
+        let (code, stderr) = run_map(args);
+        assert_eq!(code, Some(1), "{args:?} did not exit 1");
         assert!(
             stderr.contains(&format!("flag {named} needs a value")),
             "{args:?}: stderr does not name {named}:\n{stderr}"
         );
     }
     // The same flags with their values run.
-    let (ok, stderr) = run_map(&["--demo", "--row-width", "64", "--prefilter-k", "12"]);
-    assert!(ok, "valid flags rejected:\n{stderr}");
+    let (code, stderr) = run_map(&["--demo", "--row-width", "64", "--prefilter-k", "12"]);
+    assert_eq!(code, Some(0), "valid flags rejected:\n{stderr}");
 }
 
 /// Runs `asmcap_eval` on `args` and returns `(exit code, stdout, stderr)`.

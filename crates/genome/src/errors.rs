@@ -91,12 +91,6 @@ impl ErrorProfile {
     pub fn total_rate(&self) -> f64 {
         self.substitution + self.insertion + self.deletion
     }
-
-    /// Expected number of edits in a read of `len` bases.
-    #[must_use]
-    pub fn expected_edits(&self, len: usize) -> f64 {
-        self.total_rate() * len as f64
-    }
 }
 
 impl Default for ErrorProfile {
@@ -191,34 +185,6 @@ impl EditLog {
     #[must_use]
     pub fn total(&self) -> usize {
         self.count(|op| !matches!(op, EditOp::Match))
-    }
-
-    /// Net alignment shift of the read tail relative to the reference:
-    /// insertions − deletions.
-    ///
-    /// A read whose `|net_shift()| ≥ 2` defeats the ±1-base tolerance of
-    /// ED\* matching — exactly the misjudgment the TASR strategy corrects
-    /// (paper §IV-B).
-    #[must_use]
-    pub fn net_shift(&self) -> isize {
-        self.insertions() as isize - self.deletions() as isize
-    }
-
-    /// Length of the longest run of consecutive insertions or deletions.
-    #[must_use]
-    pub fn longest_indel_run(&self) -> usize {
-        let mut best = 0usize;
-        let mut run = 0usize;
-        for op in &self.ops {
-            match op {
-                EditOp::Insert(_) | EditOp::Delete => {
-                    run += 1;
-                    best = best.max(run);
-                }
-                _ => run = 0,
-            }
-        }
-        best
     }
 
     /// Number of reference bases this script consumes.
@@ -548,18 +514,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn net_shift_tracks_indel_imbalance() {
-        let mut log = EditLog::new();
-        log.push(EditOp::Insert(Base::A));
-        log.push(EditOp::Insert(Base::C));
-        log.push(EditOp::Delete);
-        assert_eq!(log.net_shift(), 1);
-        assert_eq!(log.longest_indel_run(), 3);
-        log.push(EditOp::Match);
-        log.push(EditOp::Delete);
-        assert_eq!(log.net_shift(), 0);
-        assert_eq!(log.longest_indel_run(), 3);
+    /// Length of the longest run of consecutive insertions or deletions.
+    fn longest_indel_run(log: &EditLog) -> usize {
+        let mut best = 0usize;
+        let mut run = 0usize;
+        for op in log.ops() {
+            match op {
+                EditOp::Insert(_) | EditOp::Delete => {
+                    run += 1;
+                    best = best.max(run);
+                }
+                _ => run = 0,
+            }
+        }
+        best
     }
 
     #[test]
@@ -576,11 +544,11 @@ mod tests {
         for i in 0..reads {
             let start = i * 1200;
             let (_, log) = inject_errors(genome.as_slice(), start, 256, &profile, &mut rng_iid);
-            iid_runs.push(log.longest_indel_run());
+            iid_runs.push(longest_indel_run(&log));
             iid_indels += log.insertions() + log.deletions();
             let (_, log) =
                 inject_errors_bursty(genome.as_slice(), start, 256, &profile, 3.0, &mut rng_burst);
-            burst_runs.push(log.longest_indel_run());
+            burst_runs.push(longest_indel_run(&log));
             burst_indels += log.insertions() + log.deletions();
         }
         let mean = |v: &[usize]| v.iter().sum::<usize>() as f64 / v.len() as f64;

@@ -24,23 +24,6 @@ pub struct FastqRecord {
     pub quals: Vec<u8>,
 }
 
-impl FastqRecord {
-    /// Mean per-base error probability implied by the Phred scores
-    /// (`P = 10^(-Q/10)`), or 0 for an empty record.
-    #[must_use]
-    pub fn mean_error_probability(&self) -> f64 {
-        if self.quals.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .quals
-            .iter()
-            .map(|&q| 10f64.powf(-f64::from(q) / 10.0))
-            .sum();
-        total / self.quals.len() as f64
-    }
-}
-
 /// Error produced while parsing FASTQ input.
 #[derive(Debug)]
 pub enum ParseFastqError {
@@ -248,22 +231,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn mean_error_probability_tracks_quality() {
-        let good = FastqRecord {
-            id: "good".into(),
-            seq: "ACGT".parse().unwrap(),
-            quals: vec![40; 4], // 1e-4 each
-        };
-        let bad = FastqRecord {
-            id: "bad".into(),
-            seq: "ACGT".parse().unwrap(),
-            quals: vec![10; 4], // 1e-1 each
-        };
-        assert!((good.mean_error_probability() - 1e-4).abs() < 1e-9);
-        assert!((bad.mean_error_probability() - 0.1).abs() < 1e-9);
     }
 
     #[test]

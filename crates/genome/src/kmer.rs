@@ -2,8 +2,7 @@
 //!
 //! Several systems in the reproduction are built on exact k-mer lookup: the
 //! mapping prefilter, the SaVI seed-and-vote baseline, ReSMA's CAM
-//! pre-filter, the Kraken2-style classifier, and the long-read fragment
-//! voter. They share this index.
+//! pre-filter, and the Kraken2-style classifier. They share this index.
 //!
 //! k-mers are packed into a `u64` (2 bits/base, `k ≤ 32`). [`KmerIndex`]
 //! is one radix directory of `u32` offsets over one flat array of 8-byte

@@ -154,26 +154,6 @@ impl PackedSeq {
         &self.words
     }
 
-    /// Wraps pre-packed words covering `len` bases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word count does not cover `len` or the unused tail
-    /// lanes are non-zero (the invariant every kernel relies on).
-    #[must_use]
-    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
-        assert_eq!(
-            words.len(),
-            len.div_ceil(BASES_PER_WORD),
-            "word count must cover len"
-        );
-        if let Some(&last) = words.last() {
-            let used = len - (words.len() - 1) * BASES_PER_WORD;
-            assert_eq!(last & !tail_mask(used), 0, "unused tail lanes must be zero");
-        }
-        Self { words, len }
-    }
-
     /// Copies the half-open base window `range` into a new packed sequence
     /// (word-aligned extraction: two shifts per output word).
     ///
@@ -456,15 +436,6 @@ mod tests {
                 .map(|i| Base::from_code(((i * 7 + i / 3) % 4) as u8))
                 .collect()
         }
-    }
-
-    #[test]
-    fn from_words_validates_the_tail_invariant() {
-        let packed = PackedSeq::from_seq(&seq("ACGTACGTA"));
-        let rebuilt = PackedSeq::from_words(packed.as_words().to_vec(), packed.len());
-        assert_eq!(rebuilt, packed);
-        let dirty = vec![u64::MAX];
-        assert!(std::panic::catch_unwind(|| PackedSeq::from_words(dirty, 3)).is_err());
     }
 
     proptest! {

@@ -44,12 +44,6 @@ impl PackedRef {
         }
     }
 
-    /// Wraps an already packed sequence.
-    #[must_use]
-    pub fn from_packed(packed: PackedSeq) -> Self {
-        Self { packed }
-    }
-
     /// Reference length in bases.
     #[must_use]
     pub fn len(&self) -> usize {

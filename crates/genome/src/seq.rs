@@ -19,7 +19,6 @@ use std::str::FromStr;
 /// let seq: DnaSeq = "GATTACA".parse()?;
 /// assert_eq!(seq.len(), 7);
 /// assert_eq!(seq.to_string(), "GATTACA");
-/// assert_eq!(seq.reverse_complement().to_string(), "TGTAATC");
 /// # Ok::<(), asmcap_genome::base::ParseBaseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -111,21 +110,6 @@ impl DnaSeq {
         self.bases.iter().copied()
     }
 
-    /// Returns the reverse complement of the sequence.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use asmcap_genome::DnaSeq;
-    /// let seq: DnaSeq = "ACGT".parse()?;
-    /// assert_eq!(seq.reverse_complement(), seq); // ACGT is its own RC
-    /// # Ok::<(), asmcap_genome::base::ParseBaseError>(())
-    /// ```
-    #[must_use]
-    pub fn reverse_complement(&self) -> DnaSeq {
-        DnaSeq::from_bases(self.bases.iter().rev().map(|b| b.complement()).collect())
-    }
-
     /// Rotates the sequence left by `amount` bases (wrapping), in place.
     ///
     /// This mirrors the shift registers with enable signal in the ASMCap
@@ -173,16 +157,6 @@ impl DnaSeq {
             .filter(|b| matches!(b, Base::G | Base::C))
             .count();
         gc as f64 / self.bases.len() as f64
-    }
-
-    /// Counts occurrences of each base, indexed by [`Base::code`].
-    #[must_use]
-    pub fn base_counts(&self) -> [usize; 4] {
-        let mut counts = [0usize; 4];
-        for base in &self.bases {
-            counts[base.code() as usize] += 1;
-        }
-        counts
     }
 }
 
@@ -306,25 +280,11 @@ mod tests {
     }
 
     #[test]
-    fn reverse_complement_is_involution() {
-        let s = seq("AACGTTGGCAT");
-        assert_eq!(s.reverse_complement().reverse_complement(), s);
-    }
-
-    #[test]
     fn gc_content_counts_g_and_c() {
         assert_eq!(seq("GGCC").gc_content(), 1.0);
         assert_eq!(seq("AATT").gc_content(), 0.0);
         assert_eq!(seq("ACGT").gc_content(), 0.5);
         assert_eq!(DnaSeq::new().gc_content(), 0.0);
-    }
-
-    #[test]
-    fn base_counts_sum_to_len() {
-        let s = seq("ACGTACGGG");
-        let counts = s.base_counts();
-        assert_eq!(counts.iter().sum::<usize>(), s.len());
-        assert_eq!(counts[Base::G.code() as usize], 4);
     }
 
     #[test]

@@ -3,29 +3,25 @@
 //! The paper evaluates on reads extracted from the NCBI human genome. This
 //! reproduction has no access to that data, so references are synthesised
 //! instead (see `DESIGN.md` §2): the matching statistics that drive every
-//! reported number depend only on base composition and local repeat
-//! structure, both of which the models below control explicitly.
+//! reported number depend on base composition and local base-to-base
+//! correlation, both of which the models below control explicitly.
 
 use crate::base::BASES;
 use crate::seq::DnaSeq;
-use crate::Rng;
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::Rng as _;
 
 /// A generative model for reference genomes.
 ///
 /// Construct one with [`GenomeModel::uniform`], [`GenomeModel::gc_biased`],
-/// or [`GenomeModel::markov`], optionally layer repeat families on top with
-/// [`GenomeModel::with_repeats`], then call [`GenomeModel::generate`].
+/// or [`GenomeModel::markov`], then call [`GenomeModel::generate`].
 ///
 /// # Examples
 ///
 /// ```
 /// use asmcap_genome::GenomeModel;
 ///
-/// let genome = GenomeModel::gc_biased(0.41) // human-like GC content
-///     .with_repeats(4, 300, 0.05)
-///     .generate(50_000, 1);
+/// let genome = GenomeModel::gc_biased(0.41).generate(50_000, 1); // human-like GC content
 /// assert_eq!(genome.len(), 50_000);
 /// let gc = genome.gc_content();
 /// assert!((gc - 0.41).abs() < 0.05, "gc content {gc} too far from target");
@@ -33,7 +29,6 @@ use rand::Rng as _;
 #[derive(Debug, Clone)]
 pub struct GenomeModel {
     composition: Composition,
-    repeats: Option<RepeatFamilies>,
 }
 
 #[derive(Debug, Clone)]
@@ -44,20 +39,12 @@ enum Composition {
     Markov([[f64; 4]; 4]),
 }
 
-#[derive(Debug, Clone)]
-struct RepeatFamilies {
-    families: usize,
-    unit_len: usize,
-    fraction: f64,
-}
-
 impl GenomeModel {
     /// A genome with independent, uniformly distributed bases.
     #[must_use]
     pub fn uniform() -> Self {
         Self {
             composition: Composition::Iid([0.25; 4]),
-            repeats: None,
         }
     }
 
@@ -73,7 +60,6 @@ impl GenomeModel {
         let gc_half = gc / 2.0;
         Self {
             composition: Composition::Iid([at, gc_half, gc_half, at]),
-            repeats: None,
         }
     }
 
@@ -102,7 +88,6 @@ impl GenomeModel {
         }
         Self {
             composition: Composition::Markov(transition),
-            repeats: None,
         }
     }
 
@@ -119,46 +104,11 @@ impl GenomeModel {
         ])
     }
 
-    /// Layers `families` repeat families of `unit_len`-base units covering
-    /// roughly `fraction` of the genome (e.g. Alu-like interspersed repeats).
-    ///
-    /// Repeats make decoy segments partially correlated with true segments,
-    /// which stresses the matchers the way real genomes do.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1)` or `unit_len` is zero when
-    /// `fraction > 0`.
-    #[must_use]
-    pub fn with_repeats(mut self, families: usize, unit_len: usize, fraction: f64) -> Self {
-        assert!((0.0..1.0).contains(&fraction), "fraction must be in [0, 1)");
-        if fraction > 0.0 {
-            assert!(unit_len > 0, "repeat unit length must be positive");
-            assert!(families > 0, "at least one repeat family is required");
-        }
-        self.repeats = Some(RepeatFamilies {
-            families,
-            unit_len,
-            fraction,
-        });
-        self
-    }
-
     /// Generates a genome of `len` bases from the model, deterministically
     /// for a given `seed`.
     #[must_use]
     pub fn generate(&self, len: usize, seed: u64) -> DnaSeq {
-        let mut rng = crate::rng(seed);
-        let mut genome = self.generate_background(len, &mut rng);
-        if let Some(repeats) = &self.repeats {
-            if repeats.fraction > 0.0 && len > 0 {
-                Self::plant_repeats(&mut genome, repeats, &mut rng);
-            }
-        }
-        genome
-    }
-
-    fn generate_background(&self, len: usize, rng: &mut Rng) -> DnaSeq {
+        let rng = &mut crate::rng(seed);
         match &self.composition {
             Composition::Iid(weights) => {
                 let dist = WeightedIndex::new(weights).expect("validated weights");
@@ -182,38 +132,6 @@ impl GenomeModel {
                 out
             }
         }
-    }
-
-    fn plant_repeats(genome: &mut DnaSeq, repeats: &RepeatFamilies, rng: &mut Rng) {
-        let len = genome.len();
-        let units: Vec<DnaSeq> = (0..repeats.families)
-            .map(|_| {
-                (0..repeats.unit_len)
-                    .map(|_| BASES[rng.gen_range(0..4)])
-                    .collect()
-            })
-            .collect();
-        let target_bases = (len as f64 * repeats.fraction) as usize;
-        let mut planted = 0usize;
-        let mut bases = std::mem::take(genome).into_bases();
-        while planted < target_bases {
-            let unit = &units[rng.gen_range(0..units.len())];
-            if unit.len() >= len {
-                break;
-            }
-            let start = rng.gen_range(0..len - unit.len());
-            for (offset, base) in unit.iter().enumerate() {
-                // Copy with light divergence so repeat copies are imperfect,
-                // as in real genomes.
-                bases[start + offset] = if rng.gen_bool(0.05) {
-                    base.substituted(rng.gen_range(0..3))
-                } else {
-                    base
-                };
-            }
-            planted += unit.len();
-        }
-        *genome = DnaSeq::from_bases(bases);
     }
 }
 
@@ -250,7 +168,8 @@ mod tests {
     #[test]
     fn uniform_composition_is_balanced() {
         let genome = GenomeModel::uniform().generate(40_000, 11);
-        for count in genome.base_counts() {
+        for base in BASES {
+            let count = genome.iter().filter(|&b| b == base).count();
             let frac = count as f64 / genome.len() as f64;
             assert!((frac - 0.25).abs() < 0.02, "fraction {frac} off balance");
         }
@@ -294,23 +213,6 @@ mod tests {
             cpg_rate < 0.12,
             "expected CpG depletion, got rate {cpg_rate}"
         );
-    }
-
-    #[test]
-    fn repeats_create_self_similarity() {
-        let plain = GenomeModel::uniform().generate(20_000, 3);
-        let repetitive = GenomeModel::uniform()
-            .with_repeats(2, 500, 0.3)
-            .generate(20_000, 3);
-        // Count 16-mers that appear more than once; repeats should inflate it.
-        let dup = |g: &DnaSeq| {
-            let mut seen = std::collections::HashMap::new();
-            for w in g.as_slice().windows(16) {
-                *seen.entry(w.to_vec()).or_insert(0usize) += 1;
-            }
-            seen.values().filter(|&&c| c > 1).count()
-        };
-        assert!(dup(&repetitive) > dup(&plain) * 5 + 10);
     }
 
     #[test]

@@ -131,12 +131,6 @@ impl Cigar {
         self.runs.is_empty()
     }
 
-    /// Total operation count across all runs.
-    #[must_use]
-    pub fn ops_len(&self) -> usize {
-        self.runs.iter().map(|&(_, n)| n as usize).sum()
-    }
-
     /// Edit cost: every non-`Match` operation counts one.
     #[must_use]
     pub fn cost(&self) -> usize {
@@ -763,10 +757,6 @@ mod tests {
         assert_eq!(cigar.cost(), score);
         assert_eq!(cigar.read_len(), 8);
         assert_eq!(cigar.ref_len(), 9);
-        assert_eq!(
-            cigar.ops_len(),
-            cigar.runs().iter().map(|&(_, n)| n as usize).sum()
-        );
         assert!(!cigar.is_empty());
     }
 

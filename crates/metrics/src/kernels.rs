@@ -616,9 +616,9 @@ pub fn ed_star_packed<S: PackedWords, R: PackedWords>(stored: &S, read: &R) -> u
 }
 
 /// The retained single-word scalar ED\* kernel (the pre-PR 5
-/// implementation): the reference [`ed_star_packed`]'s lane paths are
-/// property-pinned against, and the baseline the kernel benchmarks compare
-/// to.
+/// implementation): the simd-off oracle of `tests/properties.rs`, which
+/// pins [`ed_star_packed`]'s lane paths equal to it, and the baseline the
+/// `kernels` benchmark compares to.
 ///
 /// # Panics
 ///
@@ -660,7 +660,8 @@ pub fn hamming_packed<A: PackedWords, B: PackedWords>(a: &A, b: &B) -> usize {
 }
 
 /// The retained single-word scalar Hamming kernel (the pre-PR 5
-/// implementation) — see [`ed_star_packed_scalar`].
+/// implementation): the simd-off oracle of `tests/properties.rs` for
+/// [`hamming_packed`] — see [`ed_star_packed_scalar`].
 ///
 /// # Panics
 ///
@@ -705,7 +706,8 @@ pub fn ed_star_hamming_packed<S: PackedWords, R: PackedWords>(
 }
 
 /// The retained single-word scalar fused kernel (the pre-PR 5
-/// implementation) — see [`ed_star_packed_scalar`].
+/// implementation): the simd-off oracle of `tests/properties.rs` for
+/// [`ed_star_hamming_packed`] — see [`ed_star_packed_scalar`].
 #[must_use]
 pub fn ed_star_hamming_packed_scalar<S: PackedWords, R: PackedWords>(
     stored: &S,

@@ -36,7 +36,8 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
     // Zero here would boot a server that refuses every connection or
-    // admits nothing, so it is an error rather than a silent clamp.
+    // admits nothing, or a pipeline with no row to store, so it is an
+    // error rather than a silent clamp.
     let positive = |flag: &str, default: usize| match args.parsed(flag)?.unwrap_or(default) {
         0 => Err(format!("{flag} must be positive")),
         n => Ok(n),
@@ -58,7 +59,7 @@ fn run() -> Result<(), String> {
     };
     config.threshold = args.parsed("--threshold")?.unwrap_or(config.threshold);
     config.stride = args.parsed("--stride")?.unwrap_or(config.stride);
-    config.row_width = args.parsed("--row-width")?.unwrap_or(config.row_width);
+    config.row_width = positive("--row-width", config.row_width)?;
     config.seed = args.parsed("--seed")?.unwrap_or(config.seed);
     if args.has("--no-prefilter") {
         config.prefilter = None;

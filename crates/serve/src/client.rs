@@ -11,96 +11,18 @@
 //! the queue).
 
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
-    read_frame, write_frame, HealthReply, OverloadReason, Request, Response, ServerCounters,
-    WireError,
+    read_frame, write_frame, HealthReply, Request, Response, ServerCounters, WireError,
 };
-
-/// Capped exponential backoff with deterministic jitter, for
-/// [`MapClient::map_with_retry`].
-///
-/// Attempt `n` sleeps `base * 2^n` capped at `cap`, then jittered down
-/// into `[backoff/2, backoff]` so a thundering herd of retrying clients
-/// decorrelates. The jitter PRNG is a seeded SplitMix64 stream — no
-/// ambient randomness, so a test run's retry schedule reproduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = a plain [`MapClient::map_one`]).
-    pub max_retries: u32,
-    /// First backoff step.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
-    /// Seed for the jitter stream; mix the client id in so concurrent
-    /// clients spread out.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    /// 4 retries, 1 ms base, 100 ms cap.
-    fn default() -> Self {
-        Self {
-            max_retries: 4,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(100),
-            jitter_seed: 0x5EED,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered sleep before retry `attempt` (0-based) of `req_id`.
-    #[must_use]
-    pub fn backoff(&self, attempt: u32, req_id: u64) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
-            .min(self.cap);
-        let nanos = u64::try_from(exp.as_nanos()).unwrap_or(u64::MAX);
-        let mix = splitmix64(self.jitter_seed ^ req_id.rotate_left(17) ^ u64::from(attempt));
-        // Uniform in [nanos/2, nanos].
-        let jittered = nanos / 2
-            + if nanos / 2 > 0 {
-                mix % (nanos / 2 + 1)
-            } else {
-                0
-            };
-        Duration::from_nanos(jittered)
-    }
-}
-
-/// The deterministic jitter mixer (SplitMix64 finalizer). Hand-rolled so
-/// this crate stays dependency-free; **never** used for sensing — mapping
-/// results only ever draw from the workspace's seeded ChaCha streams.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// What [`MapClient::map_with_retry`] settled on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryOutcome {
-    /// The final response (a map reply, or the last overload if every
-    /// retry was refused).
-    pub response: Response,
-    /// Retries spent (0 = first attempt answered).
-    pub retries: u32,
-    /// Times the connection was re-established after a timeout-shaped
-    /// I/O error.
-    pub reconnects: u32,
-}
 
 /// A blocking connection to an `asmcap-serve` server.
 #[derive(Debug)]
 pub struct MapClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    peer: SocketAddr,
 }
 
 impl MapClient {
@@ -112,18 +34,15 @@ impl MapClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let peer = stream.peer_addr()?;
         let writer = stream.try_clone()?;
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
-            peer,
         })
     }
 
     /// Arms (or clears) a receive timeout, after which blocked reads fail
-    /// with a timeout-shaped [`WireError::Io`] — the trigger for
-    /// [`MapClient::map_with_retry`]'s reconnect path.
+    /// with a timeout-shaped [`WireError::Io`].
     ///
     /// # Errors
     ///
@@ -177,61 +96,6 @@ impl MapClient {
             Ok(response)
         } else {
             Err(WireError::Malformed("response for a different request"))
-        }
-    }
-
-    /// Maps one read with capped-exponential-backoff retries. A
-    /// [`OverloadReason::QueueFull`] or [`OverloadReason::Deadline`]
-    /// refusal backs off and resends on the same connection; a
-    /// timeout-or-reset-shaped I/O error reconnects first (anything else
-    /// propagates — the reply stream cannot be trusted after a partial
-    /// frame of unknown shape). Returns the final response plus how much
-    /// retrying it took; retries exhausted returns the last overload as
-    /// the response, not an error.
-    ///
-    /// # Errors
-    ///
-    /// Non-retryable wire failures, or any failure once retries are
-    /// exhausted.
-    pub fn map_with_retry(
-        &mut self,
-        req_id: u64,
-        bases: &[u8],
-        policy: &RetryPolicy,
-    ) -> Result<RetryOutcome, WireError> {
-        let mut retries = 0u32;
-        let mut reconnects = 0u32;
-        loop {
-            let retryable = match self.map_one(req_id, bases) {
-                Ok(Response::Overload {
-                    reason: OverloadReason::QueueFull | OverloadReason::Deadline,
-                    ..
-                }) if retries < policy.max_retries => None,
-                Ok(response) => {
-                    return Ok(RetryOutcome {
-                        response,
-                        retries,
-                        reconnects,
-                    })
-                }
-                Err(WireError::Io(kind)) if retries < policy.max_retries => Some(kind),
-                Err(error) => return Err(error),
-            };
-            if let Some(kind) = retryable {
-                match kind {
-                    io::ErrorKind::TimedOut
-                    | io::ErrorKind::WouldBlock
-                    | io::ErrorKind::ConnectionReset
-                    | io::ErrorKind::ConnectionAborted
-                    | io::ErrorKind::BrokenPipe => {
-                        *self = MapClient::connect(self.peer).map_err(WireError::from)?;
-                        reconnects += 1;
-                    }
-                    other => return Err(WireError::Io(other)),
-                }
-            }
-            std::thread::sleep(policy.backoff(retries, req_id));
-            retries += 1;
         }
     }
 
@@ -381,33 +245,5 @@ impl RecvHalf {
     /// I/O errors from configuring the socket.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.get_ref().set_read_timeout(timeout)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_is_capped_jittered_and_deterministic() {
-        let policy = RetryPolicy::default();
-        for attempt in 0..8 {
-            let sleep = policy.backoff(attempt, 42);
-            let exp = policy
-                .base
-                .saturating_mul(1 << attempt.min(16))
-                .min(policy.cap);
-            assert!(sleep <= exp, "attempt {attempt}: {sleep:?} > {exp:?}");
-            assert!(sleep >= exp / 2, "attempt {attempt}: {sleep:?} < half");
-            assert_eq!(
-                sleep,
-                policy.backoff(attempt, 42),
-                "same inputs, same sleep"
-            );
-        }
-        // Different requests decorrelate.
-        assert_ne!(policy.backoff(3, 1), policy.backoff(3, 2));
-        // The cap holds even at absurd attempt counts.
-        assert!(policy.backoff(63, 7) <= policy.cap);
     }
 }

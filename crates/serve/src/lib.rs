@@ -77,7 +77,7 @@ pub mod perf;
 pub mod protocol;
 pub mod server;
 
-pub use client::{MapClient, RecvHalf, RetryOutcome, RetryPolicy, SendHalf};
+pub use client::{MapClient, RecvHalf, SendHalf};
 pub use coalescer::{Admission, Coalescer, CoalescerConfig, Drain, Pending};
 pub use perf::{LatencyHistogram, LatencySummary};
 pub use protocol::{

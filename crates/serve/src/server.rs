@@ -383,12 +383,6 @@ impl Server {
         self.shared.counters.snapshot()
     }
 
-    /// The served pipeline's aggregated mapping statistics.
-    #[must_use]
-    pub fn pipeline_stats(&self) -> asmcap::PipelineStats {
-        self.shared.pipeline.stats()
-    }
-
     /// Stops the server and joins every thread. Admitted requests are
     /// drained and answered first; the queue refuses new work
     /// immediately. Returns the final counter totals.

@@ -63,6 +63,7 @@ fn serve_rejects_zero_capacities() {
             (&["--max-conns", "0"], "--max-conns must be positive"),
             (&["--queue-cap", "0"], "--queue-cap must be positive"),
             (&["--batch-max", "0"], "--batch-max must be positive"),
+            (&["--row-width", "0"], "--row-width must be positive"),
         ],
     );
 }

@@ -3,7 +3,7 @@
 //! A SARS-CoV-2-scale genome is stored *entirely* in the device (the paper
 //! notes 512 arrays = 64 Mb "can entirely store some small virus
 //! sequences"); a metagenomic stream of reads — some viral, some host
-//! background — is screened through the pipeline's streaming interface.
+//! background — is screened through the pipeline as one parallel batch.
 //!
 //! Run with: `cargo run --release -p asmcap-workspace --example virus_screening`
 
@@ -37,18 +37,22 @@ fn main() {
     let viral_reads = sampler.sample_many(&virus, 60, 11);
     let host = GenomeModel::human_like().generate(200_000, 99);
     let host_reads = sampler.sample_many(&host, 60, 13);
-    let labelled: Vec<(bool, DnaSeq)> = viral_reads
+    let labels: Vec<bool> = viral_reads
         .iter()
-        .map(|r| (true, r.bases.clone()))
-        .chain(host_reads.iter().map(|r| (false, r.bases.clone())))
+        .map(|_| true)
+        .chain(host_reads.iter().map(|_| false))
+        .collect();
+    let reads: Vec<DnaSeq> = viral_reads
+        .into_iter()
+        .chain(host_reads)
+        .map(|r| r.bases)
         .collect();
 
-    // Screen the metagenomic stream: map_iter pulls reads in chunks, maps
-    // each chunk as a parallel batch, and yields records in input order.
+    // Screen the metagenomic sample: one parallel batch, records in input
+    // order.
     let mut cm = ConfusionMatrix::new();
-    let stream = labelled.iter().map(|(_, read)| read.clone());
-    for ((is_viral, _), record) in labelled.iter().zip(pipeline.map_iter(stream)) {
-        cm.record(*is_viral, record.status.is_mapped());
+    for (&is_viral, record) in labels.iter().zip(pipeline.map_batch(&reads)) {
+        cm.record(is_viral, record.status.is_mapped());
     }
 
     println!("screening result at T=12: {cm}");

@@ -1,7 +1,7 @@
 //! Integration test: the full user path — write a reference as FASTA and
 //! reads as FASTQ, read both back, and map through the simulated device.
 
-use asmcap::{BackendKind, PipelineConfig};
+use asmcap::{AsmcapPipeline, PipelineConfig};
 use asmcap_eval::cli::map_records;
 use asmcap_genome::{fasta, fastq, ErrorProfile, GenomeModel, ReadSampler};
 
@@ -45,14 +45,12 @@ fn fasta_fastq_to_mapping_roundtrip() {
         threshold: 8,
         ..PipelineConfig::default()
     };
-    let run = map_records(
-        &parsed[0].seq,
-        &parsed_reads,
-        &config,
-        BackendKind::Device,
-        None,
-    )
-    .unwrap();
+    let pipeline = AsmcapPipeline::builder()
+        .reference(parsed[0].seq.clone())
+        .config(config)
+        .build()
+        .unwrap();
+    let run = map_records(&pipeline, &parsed_reads);
     assert_eq!(run.rows.len(), records.len());
     assert_eq!(run.stats.mapped, records.len() as u64);
     for (row, read) in run.rows.iter().zip(&sampled) {

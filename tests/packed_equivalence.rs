@@ -465,37 +465,3 @@ fn statuses_survive_the_packed_path() {
     let short_record = p.map_packed(&short);
     assert_eq!(short_record.status, asmcap::MapStatus::Rejected);
 }
-
-/// The long-read mapper's packed fragment extraction sees exactly the
-/// windows `fragments()` reports, so voting is unchanged.
-#[test]
-fn long_read_mapper_votes_identically_over_packed_fragments() {
-    let genome = GenomeModel::uniform().generate(8_192, 2);
-    let make = || {
-        asmcap::LongReadMapper::new(
-            AsmcapPipeline::builder()
-                .reference(genome.clone())
-                .config(PipelineConfig {
-                    row_width: WIDTH,
-                    seed: 7,
-                    ..PipelineConfig::plain(2)
-                })
-                .build()
-                .unwrap(),
-            asmcap::FragmentConfig::new(WIDTH),
-        )
-    };
-    let read = genome.window(2_345..2_345 + 500); // non-multiple of the width
-    let mapper = make();
-    let mapping = mapper.map_long_read(&read).expect("maps");
-    assert_eq!(mapping.origin, 2_345);
-    // Replaying the unpacked fragments through a fresh pipeline produces
-    // the same records the packed path voted over.
-    let replay = make();
-    let fragments = replay.fragments(&read);
-    let records: Vec<MapRecord> = replay
-        .pipeline()
-        .map_batch(&fragments.iter().map(|(_, f)| f.clone()).collect::<Vec<_>>());
-    assert_eq!(mapping.fragments, fragments.len());
-    assert!(records.iter().all(|r| r.status.is_mapped()));
-}
